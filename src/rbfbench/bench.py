@@ -10,6 +10,8 @@ byte-identical CSV files; set "timing": true to record solve times.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -26,7 +28,14 @@ from .geometry import (
     generate_nodes,
     partition_boundary,
 )
-from .kernels import CATALOG, RadialKernel, build_kernel, default_shape_parameter, higher_order_solution
+from .kernels import (
+    CATALOG,
+    FAMILY_PARAMETERS,
+    RadialKernel,
+    build_kernel,
+    default_shape_parameter,
+    higher_order_solution,
+)
 from .operators import OperatorSpec, kernel_value_matrix
 from .problems import BenchmarkProblem, check_consistency, get_problem
 
@@ -164,20 +173,21 @@ class BenchConfig:
                 raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHOD_NAMES)}")
         kernels = list(raw.get("kernels", [{"family": "mq"}]))
         for spec in kernels:
-            fam = spec.get("family") if isinstance(spec, dict) else spec
-            if fam not in CATALOG:
-                raise ConfigError(f"unknown kernel {fam!r}; known: {', '.join(CATALOG)}")
+            _check_kernel_spec(spec)
         nb = raw.get("n_boundary", 32)
-        n_boundary = [int(n) for n in (nb if isinstance(nb, list) else [nb])]
+        n_boundary = [_integer("n_boundary", n) for n in (nb if isinstance(nb, list) else [nb])]
+        timing = raw.get("timing", False)
+        if not isinstance(timing, bool):
+            raise ConfigError(f"timing must be true or false, got {timing!r}")
         return BenchConfig(
             problems=problems,
             methods=methods,
             kernels=kernels,
             n_boundary=n_boundary,
-            n_interior=int(raw.get("n_interior", 60)),
-            seed=int(raw.get("seed", 7)),
-            bpm_order=int(raw.get("bpm_order", 3)),
-            timing=bool(raw.get("timing", False)),
+            n_interior=_integer("n_interior", raw.get("n_interior", 60)),
+            seed=_integer("seed", raw.get("seed", 7)),
+            bpm_order=_integer("bpm_order", raw.get("bpm_order", 3)),
+            timing=timing,
         )
 
     @staticmethod
@@ -190,17 +200,47 @@ class BenchConfig:
         return BenchConfig.from_dict(raw)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(key: str, value) -> int:
+    if not (_is_real(value) and float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_kernel_spec(spec) -> None:
+    """Family known; parameters named for that family, real and finite."""
+    params = dict(spec) if isinstance(spec, dict) else {"family": spec}
+    family = params.pop("family", None)
+    if family not in CATALOG:
+        raise ConfigError(f"unknown kernel {family!r}; known: {', '.join(CATALOG)}")
+    allowed = FAMILY_PARAMETERS[family]
+    for name, value in params.items():
+        if name not in allowed:
+            raise ConfigError(
+                f"kernel {family!r} takes no parameter {name!r}; "
+                f"allowed: {', '.join(allowed) or 'none'}"
+            )
+        if not (_is_real(value) and math.isfinite(value)):
+            raise ConfigError(
+                f"kernel {family!r} parameter {name} must be a finite number, got {value!r}"
+            )
+
+
 def _resolve_kernel(spec, op: Optional[OperatorSpec], nodes: NodeSet) -> RadialKernel:
     spec = dict(spec) if isinstance(spec, dict) else {"family": spec}
     family = spec.pop("family")
-    if family in ("mq", "imq", "gaussian") and "c" not in spec:
+    takes = FAMILY_PARAMETERS[family]
+    if "c" in takes and "c" not in spec:
         spec["c"] = default_shape_parameter(nodes.all_points())
-    if family.startswith(("helmholtz", "mod_helmholtz")) and "k" not in spec:
+    if "k" in takes and "k" not in spec:
         if op is not None and op.k > 0:
             spec["k"] = op.k
         else:
             raise ConfigError(f"kernel {family!r} needs a wavenumber k")
-    if family == "exp_decay" and "omega" not in spec:
+    if "omega" in takes and "omega" not in spec:
         spec["omega"] = 1.0
     return build_kernel(family, **spec)
 

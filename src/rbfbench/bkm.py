@@ -16,9 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidKernelError
+from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
+from .linalg import factor
 from .operators import (
     OperatorSpec,
     field_normal_matrix,
@@ -75,23 +76,6 @@ class RecoveredTraces:
     cond_est: float
 
 
-def _checked_solve(A: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Dense solve that reports its condition estimate.
-
-    Ill-conditioning is reported, not refused: global RBF matrices
-    routinely pass 1e16 while the collocated field stays accurate.
-    Only genuinely singular systems raise.
-    """
-    cond = float(np.linalg.cond(A))
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise ConditioningError(f"{what} matrix is singular", cond)
-    if not np.all(np.isfinite(x)) or not np.isfinite(cond):
-        raise ConditioningError(f"{what} solve produced non-finite values", cond)
-    return x, cond
-
-
 @dataclass
 class ParticularFit:
     """RBF fit of the source term: coefficients and evaluators."""
@@ -124,12 +108,12 @@ def fit_particular(
     f = np.asarray(f_samples, dtype=float)
     if len(f) != len(centers):
         raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
-    A = operator_image_matrix(op, phi, centers, centers)
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ConditioningError("particular-solution fit matrix is too ill-conditioned", cond)
-    alpha = np.linalg.solve(A, f)
-    return ParticularFit(alpha=alpha, centers=centers, kernel=phi, cond_est=cond)
+    fit = factor(
+        operator_image_matrix(op, phi, centers, centers),
+        "particular-solution fit",
+        limit=CONDITION_LIMIT,
+    )
+    return ParticularFit(alpha=fit.solve(f), centers=centers, kernel=phi, cond_est=fit.cond_est)
 
 
 def hermite_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
@@ -282,7 +266,10 @@ def solve_indirect(
     particular = _maybe_fit_particular(nodes, f_samples, op, phi)
     A = assemble_symmetric_system(nodes, op, u_sharp)
     rhs = boundary_rhs(nodes, bc, particular)
-    lam, cond = _checked_solve(A, rhs, "boundary knot")
+    # ill-conditioning is reported, not refused: boundary-knot matrices
+    # routinely pass 1e16 while the collocated field stays accurate
+    lu = factor(A, "boundary knot")
+    lam = lu.solve(rhs)
 
     n_total = nodes.n_interior + nodes.n_boundary
     alpha = particular.alpha if particular is not None else np.zeros(n_total)
@@ -295,7 +282,7 @@ def solve_indirect(
         nodes=nodes,
         particular=particular,
         interior_values=np.empty(0),
-        cond_est=cond,
+        cond_est=lu.cond_est,
     )
     if nodes.n_interior:
         solution.interior_values = solution.evaluate(nodes.interior)
@@ -321,8 +308,8 @@ def solve_direct(
     A = assemble_symmetric_system(nodes, op, u_sharp)
     B = complementary_trace_matrix(nodes, u_sharp)
     rhs = boundary_rhs(nodes, bc, particular)
-    lam, cond = _checked_solve(A, rhs, "boundary knot")
-    traces = B @ lam
+    lu = factor(A, "boundary knot")
+    traces = B @ lu.solve(rhs)
     L_D = len(nodes.dirichlet_idx)
     if particular is not None:
         traces[:L_D] += particular.normal_derivative(
@@ -333,5 +320,5 @@ def solve_direct(
     return RecoveredTraces(
         neumann_at_dirichlet=traces[:L_D],
         dirichlet_at_neumann=traces[L_D:],
-        cond_est=cond,
+        cond_est=lu.cond_est,
     )

@@ -11,20 +11,20 @@ order subtracting the traces of the already-solved tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .bkm import (
     BoundaryData,
     assemble_symmetric_system,
     hermite_trace_matrix,
 )
-from .errors import ConditioningError, ConfigError
+from .errors import ConfigError
 from .geometry import NodeSet
 from .kernels import RadialKernel
+from .linalg import Factor, factor
 from .operators import OperatorSpec, kernel_value_matrix, source_normal_matrix
 
 #: step for the fallback central-difference gradient of source-term chains
@@ -70,25 +70,9 @@ class MrmProblem:
         return (plus - minus) / (2.0 * _FD_STEP)
 
 
-@dataclass
-class QFactorization:
-    """Shared collocation matrix with a reusable LU factorization."""
-
-    matrix: np.ndarray
-    cond_est: float
-    _lu: tuple = field(repr=False, default=None)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, rhs)
-
-
-def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp_0: RadialKernel) -> QFactorization:
+def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp_0: RadialKernel) -> Factor:
     """Assemble the shared matrix (identical to the BKM matrix) and factor it."""
-    Q = assemble_symmetric_system(nodes, op, u_sharp_0)
-    cond = float(np.linalg.cond(Q))
-    if not np.isfinite(cond):
-        raise ConditioningError("shared collocation matrix is singular", cond)
-    return QFactorization(matrix=Q, cond_est=cond, _lu=lu_factor(Q))
+    return factor(assemble_symmetric_system(nodes, op, u_sharp_0), "shared collocation")
 
 
 @dataclass
@@ -140,7 +124,7 @@ def solve_bpm(
     nodes: NodeSet,
     problem: MrmProblem,
     kernel_chain: Sequence[RadialKernel],
-    q: Optional[QFactorization] = None,
+    q: Optional[Factor] = None,
 ) -> BpmSolution:
     """Reversal recursion over orders, reusing one factorization of Q.
 

@@ -42,6 +42,19 @@ CATALOG = (
     "mod_helmholtz_gs_2d",
 )
 
+#: named parameters (build_kernel keywords) each family takes
+FAMILY_PARAMETERS = {
+    **{family: () for family in CATALOG},
+    "mq": ("c",),
+    "imq": ("c",),
+    "gaussian": ("c",),
+    "exp_decay": ("omega",),
+    "helmholtz_gs_2d": ("k",),
+    "helmholtz_gs_3d": ("k",),
+    "helmholtz_fs_2d": ("k",),
+    "mod_helmholtz_gs_2d": ("k",),
+}
+
 _DerivFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -338,8 +351,8 @@ def _mod_helmholtz_gs_2d_derivs(k: float) -> tuple:
 
 
 def _require_positive(name: str, value: Optional[float]) -> float:
-    if value is None or value <= 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
+    if value is None or not math.isfinite(value) or value <= 0:
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
     return float(value)
 
 
@@ -353,10 +366,10 @@ def build_kernel(
 
     Shape parameter c defaults to 1 for MQ/inverse-MQ/Gaussian when not
     given; wavenumber k and decay rate omega are required (and positive)
-    for the families that use them. Negative c is rejected.
+    for the families that use them. Negative or non-finite c is rejected.
     """
-    if c is not None and c < 0:
-        raise ParameterError(f"shape parameter c must be nonnegative, got {c}")
+    if c is not None and not (math.isfinite(c) and c >= 0):
+        raise ParameterError(f"shape parameter c must be finite and nonnegative, got {c}")
 
     if family in ("mq", "imq", "gaussian"):
         cv = 1.0 if c is None else float(c)

@@ -17,9 +17,10 @@ import numpy as np
 from scipy.linalg import lstsq
 
 from .bkm import BoundaryData
-from .errors import RankError, ShapeError
+from .errors import ConditioningError, RankError, ShapeError
 from .geometry import NodeSet
 from .kernels import RadialKernel
+from .linalg import factor
 from .operators import (
     OperatorSpec,
     adjoint_image_matrix,
@@ -126,26 +127,27 @@ def solve_least_squares(
     """
     G, b = system.G, system.b
     if method == "normal_equations":
-        Ghat = G.T @ G
-        bhat = G.T @ b
-        cond = float(np.linalg.cond(Ghat))
-        if not np.isfinite(cond) or cond > 1e14:
+        try:
+            lu = factor(G.T @ G, "normal equations", limit=1e14)
+            beta = lu.solve(G.T @ b)
+        except ConditioningError as exc:
             raise RankError(
-                f"normal equations are rank deficient (condition {cond:.3e})"
-            )
-        beta = np.linalg.solve(Ghat, bhat)
+                f"normal equations are rank deficient (condition {exc.estimate:.3e})"
+            ) from exc
         return LeastSquaresResult(
             beta=beta,
             sigma=residual_sigma(system, beta),
             rank_deficient=False,
-            cond_est=cond,
+            cond_est=lu.cond_est,
         )
     if method == "orthogonal":
-        beta, _, rank, _ = lstsq(G, b)
+        # gelsd returns the singular values of G: their ratio is the
+        # 2-norm condition number, no second SVD needed
+        beta, _, rank, s = lstsq(G, b)
         return LeastSquaresResult(
             beta=beta,
             sigma=residual_sigma(system, beta),
             rank_deficient=rank < system.source_count,
-            cond_est=float(np.linalg.cond(G)),
+            cond_est=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
         )
     raise ValueError(f"method must be 'normal_equations' or 'orthogonal', got {method!r}")

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConditioningError
 from .geometry import NodeSet
 from .kernels import RadialKernel
+from .linalg import factor
 from .operators import (
     OperatorSpec,
     adjoint_image_matrix,
@@ -120,13 +120,8 @@ def assemble_mkm(
 def solve_mkm(system: MkmSystem) -> SolutionField:
     """Solve the Hermite system and wrap the two-family evaluator."""
     A, rhs = system.matrix, system.rhs
-    cond = float(np.linalg.cond(A))
-    try:
-        coeffs = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("Hermite collocation matrix is singular", cond)
-    if not np.all(np.isfinite(coeffs)) or not np.isfinite(cond):
-        raise ConditioningError("Hermite collocation solve produced non-finite values", cond)
+    lu = factor(A, "Hermite collocation")
+    coeffs = lu.solve(rhs)
     scale = np.max(np.abs(rhs)) or 1.0
     residual = float(np.max(np.abs(A @ coeffs - rhs)) / scale)
 
@@ -147,7 +142,7 @@ def solve_mkm(system: MkmSystem) -> SolutionField:
         return out
 
     return SolutionField(
-        coefficients=coeffs, cond_est=cond, residual_inf=residual, _evaluate=evaluate
+        coefficients=coeffs, cond_est=lu.cond_est, residual_inf=residual, _evaluate=evaluate
     )
 
 
@@ -183,14 +178,8 @@ def solve_kansa_baseline(
         blocks.append(field_normal_matrix(phi, xn, centers, nn))
     A = np.vstack(blocks)
     rhs = np.concatenate([f[:N], bc.dirichlet_values, bc.neumann_values])
-
-    cond = float(np.linalg.cond(A))
-    try:
-        alpha = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("collocation matrix is singular", cond)
-    if not np.all(np.isfinite(alpha)) or not np.isfinite(cond):
-        raise ConditioningError("collocation solve produced non-finite values", cond)
+    lu = factor(A, "collocation")
+    alpha = lu.solve(rhs)
     scale = np.max(np.abs(rhs)) or 1.0
     residual = float(np.max(np.abs(A @ alpha - rhs)) / scale)
 
@@ -198,5 +187,5 @@ def solve_kansa_baseline(
         return kernel_value_matrix(phi, pts, centers) @ alpha
 
     return SolutionField(
-        coefficients=alpha, cond_est=cond, residual_inf=residual, _evaluate=evaluate
+        coefficients=alpha, cond_est=lu.cond_est, residual_inf=residual, _evaluate=evaluate
     )

@@ -128,6 +128,32 @@ def test_unknown_config_key_rejected():
         BenchConfig.from_dict({"n_bounary": 3})
 
 
+def test_unknown_kernel_parameter_rejected():
+    with pytest.raises(ConfigError, match="cc"):
+        BenchConfig.from_dict({**SMALL, "kernels": [{"family": "mq", "cc": 1}]})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.8"])
+def test_malformed_kernel_parameter_rejected(bad):
+    with pytest.raises(ConfigError, match="finite number"):
+        BenchConfig.from_dict({**SMALL, "kernels": [{"family": "mq", "c": bad}]})
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_timing_accepts_only_booleans(flag):
+    with pytest.raises(ConfigError, match="timing"):
+        BenchConfig.from_dict({**SMALL, "timing": flag})
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("n_boundary", "abc"), ("n_boundary", [16, "x"]), ("n_interior", 6.5), ("seed", True), ("bpm_order", None)],
+)
+def test_non_integer_counts_rejected(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        BenchConfig.from_dict({**SMALL, key: bad})
+
+
 def test_default_suite_covers_every_method():
     import time
 

@@ -148,6 +148,25 @@ def test_parameter_validation():
         build_kernel("mqq")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "family, param",
+    [
+        ("mq", "c"),
+        ("imq", "c"),
+        ("gaussian", "c"),
+        ("exp_decay", "omega"),
+        ("helmholtz_gs_2d", "k"),
+        ("helmholtz_gs_3d", "k"),
+        ("helmholtz_fs_2d", "k"),
+        ("mod_helmholtz_gs_2d", "k"),
+    ],
+)
+def test_non_finite_parameter_rejected(family, param, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        build_kernel(family, **{param: bad})
+
+
 def test_singular_flag_matches_sampling_probe():
     for family in CATALOG:
         kern = _kernel(family)

@@ -193,3 +193,27 @@ def test_step_target_overshoot_reported():
     print(f"step-fit overshoot: interpolation={overshoot_interp:.3f} least-squares={overshoot_lsq:.3f}")
     assert np.isfinite(overshoot_interp) and np.isfinite(overshoot_lsq)
     assert overshoot_interp >= 0.0 and overshoot_lsq >= 0.0
+
+
+def _existing_systems():
+    rng = np.random.default_rng(42)
+    yield rng.standard_normal((40, 20))
+    rng = np.random.default_rng(0)
+    yield rng.standard_normal((15, 15))
+    yield rng.standard_normal((6, 3))
+    for n_boundary, n_interior, seed, family, c, scheme in (
+        (12, 9, 7, "mq", 0.6, "kansa_like"),
+        (8, 6, 2, "mq", 0.6, "kansa_like"),
+        (8, 6, 2, "gaussian", 0.7, "mkm_like"),
+    ):
+        p, nodes, bc = _field_setup(n_boundary, n_interior, seed)
+        phi = build_kernel(family, c=c)
+        src = nodes.all_points()
+        yield lsq.assemble_overdetermined(src, nodes, p.operator, bc, p.f, phi, scheme).G
+
+
+def test_orthogonal_cond_est_is_2norm_condition_number():
+    for G in _existing_systems():
+        system = lsq.OverdeterminedSystem(G=G, b=np.ones(len(G)))
+        res = lsq.solve_least_squares(system, "orthogonal")
+        assert res.cond_est == pytest.approx(np.linalg.cond(G), rel=1e-8)
