@@ -9,7 +9,7 @@ from .bkm import (
     solve_direct,
     solve_indirect,
 )
-from .bpm import BpmSolution, MrmProblem, assemble_Q, evaluate_bpm, solve_bpm
+from .bpm import BpmSolution, MrmProblem, assemble_Q, solve_bpm
 from .geometry import (
     DomainSpec,
     NodeSet,
@@ -24,7 +24,6 @@ from .kernels import (
     build_kernel,
     check_regulation,
     default_shape_parameter,
-    eval_with_derivatives,
     higher_order_solution,
     shape_substitute,
 )
@@ -34,6 +33,7 @@ from .operators import (
     OperatorSpec,
     adjoint_of,
     apply_radial_operator,
+    collocation_matrix,
     convection_diffusion,
     helmholtz,
     laplace,

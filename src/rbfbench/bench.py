@@ -175,7 +175,7 @@ class BenchConfig:
         for spec in kernels:
             _check_kernel_spec(spec)
         nb = raw.get("n_boundary", 32)
-        n_boundary = [_integer("n_boundary", n) for n in (nb if isinstance(nb, list) else [nb])]
+        n_boundary = [_count("n_boundary", n, 4) for n in (nb if isinstance(nb, list) else [nb])]
         timing = raw.get("timing", False)
         if not isinstance(timing, bool):
             raise ConfigError(f"timing must be true or false, got {timing!r}")
@@ -184,9 +184,9 @@ class BenchConfig:
             methods=methods,
             kernels=kernels,
             n_boundary=n_boundary,
-            n_interior=_integer("n_interior", raw.get("n_interior", 60)),
+            n_interior=_count("n_interior", raw.get("n_interior", 60), 0),
             seed=_integer("seed", raw.get("seed", 7)),
-            bpm_order=_integer("bpm_order", raw.get("bpm_order", 3)),
+            bpm_order=_count("bpm_order", raw.get("bpm_order", 3), 1),
             timing=timing,
         )
 
@@ -208,6 +208,13 @@ def _integer(key: str, value) -> int:
     if not (_is_real(value) and float(value).is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _count(key: str, value, least: int) -> int:
+    n = _integer(key, value)
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}, got {n}")
+    return n
 
 
 def _check_kernel_spec(spec) -> None:
@@ -437,12 +444,15 @@ def _single_run(
     )
 
 
-def run_benchmark(config, out_path=None) -> BenchReport:
-    """Run all configured combinations; unknown names fail fast.
+def _sweep(config, counts=None):
+    """Run every configured combination over the boundary-node counts.
 
-    Methods a problem does not support (e.g. boundary-knot solvers on an
-    operator without a usable general solution) are skipped. Solver
-    failures are collected per combination and reflected in exit_code.
+    Coerces `config` (a BenchConfig, a dict or a JSON path) and resolves
+    every problem name before the first solve, then yields one
+    (label, rows, errors) per problem/method/kernel combination, running
+    `counts` (default: the config's n_boundary list) in order. Methods a
+    problem does not support are skipped; solver failures become error
+    lines. Each row's ladder_idx is the index of its count.
     """
     if isinstance(config, BenchConfig):
         cfg = config
@@ -450,23 +460,39 @@ def run_benchmark(config, out_path=None) -> BenchReport:
         cfg = BenchConfig.from_dict(config)
     else:
         cfg = BenchConfig.load(config)
-
-    report = BenchReport(rows=[])
-    for pname in cfg.problems:
-        problem = get_problem(pname)
+    problems = [get_problem(name) for name in cfg.problems]
+    for problem in problems:
         check_consistency(problem)
+
+    for problem in problems:
         for method in cfg.methods:
             if method not in problem.methods:
                 continue
+            label = f"{problem.name}/{method}"
             for kernel_spec in cfg.kernels:
-                for nb in cfg.n_boundary:
+                rows, errors = [], []
+                for idx, nb in enumerate(counts or cfg.n_boundary):
                     try:
                         row = _single_run(problem, method, kernel_spec, nb, cfg)
-                        report.rows.append(row)
                     except (RbfError, np.linalg.LinAlgError) as exc:
-                        report.errors.append(
-                            f"{pname}/{method}/nb={nb}: {type(exc).__name__}: {exc}"
-                        )
+                        errors.append(f"{label}/nb={nb}: {type(exc).__name__}: {exc}")
+                        continue
+                    row.ladder_idx = idx
+                    rows.append(row)
+                yield label, rows, errors
+
+
+def run_benchmark(config, out_path=None) -> BenchReport:
+    """Run all configured combinations; unknown names fail before any solve.
+
+    Methods a problem does not support (e.g. boundary-knot solvers on an
+    operator without a usable general solution) are skipped. Solver
+    failures are collected per combination and reflected in exit_code.
+    """
+    report = BenchReport(rows=[])
+    for _, rows, errors in _sweep(config):
+        report.rows += rows
+        report.errors += errors
     if out_path is not None:
         report.write_csv(out_path)
     return report
@@ -478,44 +504,22 @@ def convergence_study(config, node_ladder, out_path=None) -> BenchReport:
     Rows carry the ladder index; a per-combination summary flags whether
     the error at the largest count is strictly below the smallest.
     """
-    ladder = [int(n) for n in node_ladder]
+    ladder = [_count("ladder count", n, 4) for n in node_ladder]
     if len(ladder) < 3:
         raise ConfigError(f"ladder needs at least 3 counts, got {ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"ladder must be strictly increasing, got {ladder}")
 
-    if isinstance(config, BenchConfig):
-        cfg = config
-    elif isinstance(config, dict):
-        cfg = BenchConfig.from_dict(config)
-    else:
-        cfg = BenchConfig.load(config)
-
     report = BenchReport(rows=[], with_ladder=True)
-    for pname in cfg.problems:
-        problem = get_problem(pname)
-        check_consistency(problem)
-        for method in cfg.methods:
-            if method not in problem.methods:
-                continue
-            for kernel_spec in cfg.kernels:
-                series = []
-                for idx, nb in enumerate(ladder):
-                    try:
-                        row = _single_run(problem, method, kernel_spec, nb, cfg)
-                        row.ladder_idx = idx
-                        report.rows.append(row)
-                        series.append(row.l2_rel_err)
-                    except (RbfError, np.linalg.LinAlgError) as exc:
-                        report.errors.append(
-                            f"{pname}/{method}/nb={nb}: {type(exc).__name__}: {exc}"
-                        )
-                if len(series) == len(ladder):
-                    improved = series[-1] < series[0]
-                    report.summaries.append(
-                        f"{pname}/{method}: l2_rel_err {series[0]:.3e} -> "
-                        f"{series[-1]:.3e} ({'improved' if improved else 'NOT improved'})"
-                    )
+    for label, rows, errors in _sweep(config, ladder):
+        report.rows += rows
+        report.errors += errors
+        if len(rows) == len(ladder):
+            first, last = rows[0].l2_rel_err, rows[-1].l2_rel_err
+            report.summaries.append(
+                f"{label}: l2_rel_err {first:.3e} -> {last:.3e} "
+                f"({'improved' if last < first else 'NOT improved'})"
+            )
     if out_path is not None:
         report.write_csv(out_path)
     return report

@@ -6,7 +6,7 @@ general solution of the operator. The homogeneous expansion is Hermite:
 Dirichlet boundary nodes contribute plain kernel columns, Neumann nodes
 contribute source-normal derivative columns with a sign that makes the
 collocation matrix exactly symmetric. Interior nodes never enter the
-boundary solve; interior values are explicit evaluations afterwards.
+boundary solve; the solution evaluates the expansion wherever asked.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import factor
-from .operators import (
-    OperatorSpec,
-    field_normal_matrix,
-    homogeneous_residual,
-    kernel_value_matrix,
-    mixed_normal_matrix,
-    operator_image_matrix,
-    source_normal_matrix,
-)
+from .operators import OperatorSpec, collocation_matrix, homogeneous_residual
 
 #: solves refuse matrices beyond this condition estimate
 CONDITION_LIMIT = 1e14
@@ -76,6 +68,24 @@ class RecoveredTraces:
     cond_est: float
 
 
+def boundary_groups(nodes: NodeSet) -> list:
+    """Collocation groups of the Hermite boundary layout: values at
+    Dirichlet nodes, then normal derivatives at Neumann nodes."""
+    return [
+        ("value", nodes.dirichlet_points),
+        ("normal", nodes.neumann_points, nodes.neumann_normals),
+    ]
+
+
+def _complementary_groups(nodes: NodeSet) -> list:
+    """The swapped traces: normal derivatives at Dirichlet nodes, then
+    values at Neumann nodes."""
+    return [
+        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
+        ("value", nodes.neumann_points),
+    ]
+
+
 @dataclass
 class ParticularFit:
     """RBF fit of the source term: coefficients and evaluators."""
@@ -85,14 +95,12 @@ class ParticularFit:
     kernel: RadialKernel
     cond_est: float
 
-    def value(self, points) -> np.ndarray:
-        return kernel_value_matrix(self.kernel, points, self.centers) @ self.alpha
+    def traces(self, rows) -> np.ndarray:
+        """The fitted expansion under the collocation row groups `rows`."""
+        return collocation_matrix(None, self.kernel, rows, [("value", self.centers)]) @ self.alpha
 
-    def normal_derivative(self, points, normals) -> np.ndarray:
-        return (
-            field_normal_matrix(self.kernel, points, self.centers, normals)
-            @ self.alpha
-        )
+    def value(self, points) -> np.ndarray:
+        return self.traces([("value", points)])
 
 
 def fit_particular(
@@ -109,7 +117,7 @@ def fit_particular(
     if len(f) != len(centers):
         raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
     fit = factor(
-        operator_image_matrix(op, phi, centers, centers),
+        collocation_matrix(op, phi, [("op", centers)], [("value", centers)]),
         "particular-solution fit",
         limit=CONDITION_LIMIT,
     )
@@ -124,30 +132,13 @@ def hermite_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
     source-normal derivative sources at Neumann nodes. Symmetric for any
     radial kernel.
     """
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nn = nodes.neumann_normals
-    L_D, L_N = len(xd), len(xn)
-    A = np.empty((L_D + L_N, L_D + L_N))
-    A[:L_D, :L_D] = kernel_value_matrix(kernel, xd, xd)
-    if L_N:
-        A[:L_D, L_D:] = source_normal_matrix(kernel, xd, xn, nn)
-        A[L_D:, :L_D] = field_normal_matrix(kernel, xn, xd, nn)
-        A[L_D:, L_D:] = mixed_normal_matrix(kernel, xn, xn, nn, nn)
-    return A
+    groups = boundary_groups(nodes)
+    return collocation_matrix(None, kernel, groups, groups)
 
 
 def complementary_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
     """Swapped traces: normal derivatives at Dirichlet nodes, values at Neumann nodes."""
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nd, nn = nodes.dirichlet_normals, nodes.neumann_normals
-    L_D, L_N = len(xd), len(xn)
-    B = np.empty((L_D + L_N, L_D + L_N))
-    B[:L_D, :L_D] = field_normal_matrix(kernel, xd, xd, nd)
-    if L_N:
-        B[:L_D, L_D:] = mixed_normal_matrix(kernel, xd, xn, nd, nn)
-        B[L_D:, :L_D] = kernel_value_matrix(kernel, xn, xd)
-        B[L_D:, L_D:] = source_normal_matrix(kernel, xn, xn, nn)
-    return B
+    return collocation_matrix(None, kernel, _complementary_groups(nodes), boundary_groups(nodes))
 
 
 def assemble_symmetric_system(
@@ -173,53 +164,25 @@ class BkmSolution:
     u_sharp: RadialKernel
     nodes: NodeSet
     particular: Optional[ParticularFit]
-    interior_values: np.ndarray
     cond_est: float
 
     def homogeneous_value(self, points) -> np.ndarray:
-        nodes = self.nodes
-        L_D = len(nodes.dirichlet_idx)
-        out = kernel_value_matrix(self.u_sharp, points, nodes.dirichlet_points) @ self.lam[:L_D]
-        if len(nodes.neumann_idx):
-            out = out + (
-                source_normal_matrix(
-                    self.u_sharp, points, nodes.neumann_points, nodes.neumann_normals
-                )
-                @ self.lam[L_D:]
-            )
-        return out
+        cols = boundary_groups(self.nodes)
+        return collocation_matrix(None, self.u_sharp, [("value", points)], cols) @ self.lam
 
-    def homogeneous_normal_derivative(self, points, normals) -> np.ndarray:
-        nodes = self.nodes
-        L_D = len(nodes.dirichlet_idx)
-        out = (
-            field_normal_matrix(self.u_sharp, points, nodes.dirichlet_points, normals)
-            @ self.lam[:L_D]
-        )
-        if len(nodes.neumann_idx):
-            out = out + (
-                mixed_normal_matrix(
-                    self.u_sharp,
-                    points,
-                    nodes.neumann_points,
-                    normals,
-                    nodes.neumann_normals,
-                )
-                @ self.lam[L_D:]
-            )
+    def traces(self, rows) -> np.ndarray:
+        """The full field under the collocation row groups `rows`."""
+        cols = boundary_groups(self.nodes)
+        out = collocation_matrix(None, self.u_sharp, rows, cols) @ self.lam
+        if self.particular is not None:
+            out = out + self.particular.traces(rows)
         return out
 
     def evaluate(self, points) -> np.ndarray:
-        out = self.homogeneous_value(points)
-        if self.particular is not None:
-            out = out + self.particular.value(points)
-        return out
+        return self.traces([("value", points)])
 
     def normal_derivative(self, points, normals) -> np.ndarray:
-        out = self.homogeneous_normal_derivative(points, normals)
-        if self.particular is not None:
-            out = out + self.particular.normal_derivative(points, normals)
-        return out
+        return self.traces([("normal", points, normals)])
 
 
 def boundary_rhs(
@@ -229,13 +192,7 @@ def boundary_rhs(
     particular-solution traces (value rows first, then normal rows)."""
     rhs = np.concatenate([bc.dirichlet_values, bc.neumann_values])
     if particular is not None:
-        L_D = len(nodes.dirichlet_idx)
-        rhs = rhs.copy()
-        rhs[:L_D] -= particular.value(nodes.dirichlet_points)
-        if len(nodes.neumann_idx):
-            rhs[L_D:] -= particular.normal_derivative(
-                nodes.neumann_points, nodes.neumann_normals
-            )
+        rhs -= particular.traces(boundary_groups(nodes))
     return rhs
 
 
@@ -261,7 +218,7 @@ def solve_indirect(
     phi: Optional[RadialKernel],
     u_sharp: RadialKernel,
 ) -> BkmSolution:
-    """Two-step solve: boundary expansion coefficients, then interior values."""
+    """Boundary expansion coefficients; the solution evaluates anywhere."""
     bc.check_counts(nodes)
     particular = _maybe_fit_particular(nodes, f_samples, op, phi)
     A = assemble_symmetric_system(nodes, op, u_sharp)
@@ -274,19 +231,15 @@ def solve_indirect(
     n_total = nodes.n_interior + nodes.n_boundary
     alpha = particular.alpha if particular is not None else np.zeros(n_total)
 
-    solution = BkmSolution(
+    return BkmSolution(
         alpha=alpha,
         lam=lam,
         phi=phi,
         u_sharp=u_sharp,
         nodes=nodes,
         particular=particular,
-        interior_values=np.empty(0),
         cond_est=lu.cond_est,
     )
-    if nodes.n_interior:
-        solution.interior_values = solution.evaluate(nodes.interior)
-    return solution
 
 
 def solve_direct(
@@ -310,13 +263,9 @@ def solve_direct(
     rhs = boundary_rhs(nodes, bc, particular)
     lu = factor(A, "boundary knot")
     traces = B @ lu.solve(rhs)
-    L_D = len(nodes.dirichlet_idx)
     if particular is not None:
-        traces[:L_D] += particular.normal_derivative(
-            nodes.dirichlet_points, nodes.dirichlet_normals
-        )
-        if len(nodes.neumann_idx):
-            traces[L_D:] += particular.value(nodes.neumann_points)
+        traces += particular.traces(_complementary_groups(nodes))
+    L_D = len(nodes.dirichlet_idx)
     return RecoveredTraces(
         neumann_at_dirichlet=traces[:L_D],
         dirichlet_at_neumann=traces[L_D:],

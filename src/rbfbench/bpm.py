@@ -19,13 +19,14 @@ import numpy as np
 from .bkm import (
     BoundaryData,
     assemble_symmetric_system,
+    boundary_groups,
     hermite_trace_matrix,
 )
 from .errors import ConfigError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import Factor, factor
-from .operators import OperatorSpec, kernel_value_matrix, source_normal_matrix
+from .operators import OperatorSpec, collocation_matrix
 
 #: step for the fallback central-difference gradient of source-term chains
 _FD_STEP = 1e-6
@@ -93,31 +94,12 @@ class BpmSolution:
         """Max-norm of the top-order coefficients; small means the series settled."""
         return float(np.max(np.abs(self.beta_by_order[-1])))
 
-    def _order_value(self, n: int, points) -> np.ndarray:
-        nodes, kern = self.nodes, self.kernel_chain[n]
-        beta = self.beta_by_order[n]
-        L_D = len(nodes.dirichlet_idx)
-        out = kernel_value_matrix(kern, points, nodes.dirichlet_points) @ beta[:L_D]
-        if len(nodes.neumann_idx):
-            out = out + (
-                source_normal_matrix(
-                    kern, points, nodes.neumann_points, nodes.neumann_normals
-                )
-                @ beta[L_D:]
-            )
-        return out
-
     def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        out = np.zeros(len(pts))
-        for n in range(self.order + 1):
-            out += self._order_value(n, pts)
-        return out
-
-
-def evaluate_bpm(solution: BpmSolution, x) -> float:
-    """Series value at a single point."""
-    return float(solution.evaluate(np.asarray(x, dtype=float)[None, :])[0])
+        rows, cols = [("value", points)], boundary_groups(self.nodes)
+        return sum(
+            collocation_matrix(None, kern, rows, cols) @ beta
+            for kern, beta in zip(self.kernel_chain, self.beta_by_order)
+        )
 
 
 def solve_bpm(
@@ -149,14 +131,15 @@ def solve_bpm(
 
     xd, xn = nodes.dirichlet_points, nodes.neumann_points
     nn = nodes.neumann_normals
-    L_D, L_N = len(xd), len(xn)
 
     betas: list = [None] * (M + 1)
     for n in range(M, 0, -1):
-        rhs = np.empty(L_D + L_N)
-        rhs[:L_D] = np.asarray(problem.f_chain[n - 1](xd), dtype=float)
-        if L_N:
-            rhs[L_D:] = problem.chain_normal_derivative(n - 1, xn, nn)
+        rhs = np.concatenate(
+            [
+                np.asarray(problem.f_chain[n - 1](xd), dtype=float),
+                problem.chain_normal_derivative(n - 1, xn, nn),
+            ]
+        )
         for m in range(n + 1, M + 1):
             rhs -= trace[m - n] @ betas[m]
         betas[n] = q.solve(rhs)

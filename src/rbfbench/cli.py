@@ -47,7 +47,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             report = run_benchmark(args.config, out_path=args.out)
         else:
-            ladder = [int(tok) for tok in args.ladder.split(",") if tok.strip()]
+            try:
+                ladder = [int(tok) for tok in args.ladder.split(",") if tok.strip()]
+            except ValueError:
+                raise ConfigError(f"--ladder takes integer counts, got {args.ladder!r}") from None
             report = convergence_study(args.config, ladder, out_path=args.out)
             for line in report.summaries:
                 print(line)

@@ -122,11 +122,6 @@ class RadialKernel:
         return self.label or self.family
 
 
-def eval_with_derivatives(kernel: RadialKernel, r):
-    """Return (phi, phi', phi'') at distance r."""
-    return kernel.phi(r), kernel.d1(r), kernel.d2(r)
-
-
 def _where0(r: np.ndarray, limit: float, formula: _DerivFn) -> np.ndarray:
     """Evaluate `formula` on positive entries, patching r == 0 with `limit`."""
     out = np.full(r.shape, float(limit))

@@ -16,22 +16,15 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lstsq
 
-from .bkm import BoundaryData
+from .bkm import BoundaryData, boundary_groups
 from .errors import ConditioningError, RankError, ShapeError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import factor
-from .operators import (
-    OperatorSpec,
-    adjoint_image_matrix,
-    adjoint_normal_image_matrix,
-    field_normal_matrix,
-    kernel_value_matrix,
-    ll_star_matrix,
-    operator_image_matrix,
-)
+from .operators import OperatorSpec, collocation_matrix
 
-SCHEMES = ("kansa_like", "mkm_like")
+#: expansion scheme -> collocation column kind of its basis
+SCHEMES = {"kansa_like": "value", "mkm_like": "adjoint"}
 
 
 @dataclass(frozen=True)
@@ -74,24 +67,11 @@ def assemble_overdetermined(
     carry unit weights.
     """
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     bc.check_counts(field_nodes)
-    src = np.atleast_2d(np.asarray(source_points, dtype=float))
     xi = field_nodes.interior
-    xd, xn = field_nodes.dirichlet_points, field_nodes.neumann_points
-    nn = field_nodes.neumann_normals
-
-    if scheme == "kansa_like":
-        governing = operator_image_matrix(op, psi, xi, src) if len(xi) else None
-        value = kernel_value_matrix(psi, xd, src)
-        normal = field_normal_matrix(psi, xn, src, nn) if len(xn) else None
-    else:
-        governing = ll_star_matrix(op, psi, xi, src) if len(xi) else None
-        value = adjoint_image_matrix(op, psi, xd, src)
-        normal = adjoint_normal_image_matrix(op, psi, xn, src, nn) if len(xn) else None
-
-    blocks = [blk for blk in (governing, value, normal) if blk is not None]
-    G = np.vstack(blocks)
+    rows = [("op", xi)] + boundary_groups(field_nodes)
+    G = collocation_matrix(op, psi, rows, [(SCHEMES[scheme], source_points)])
     b = np.concatenate(
         [
             np.asarray(f(xi), dtype=float) if len(xi) else np.empty(0),

@@ -14,39 +14,31 @@ or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Optional
 
 import numpy as np
 
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import factor
-from .operators import (
-    OperatorSpec,
-    adjoint_image_matrix,
-    adjoint_normal_image_matrix,
-    field_normal_matrix,
-    kernel_value_matrix,
-    ll_star_matrix,
-    mixed_normal_matrix,
-    operator_image_matrix,
-    operator_source_normal_matrix,
-    source_normal_matrix,
-)
-from .bkm import BoundaryData
+from .linalg import Factor, factor
+from .operators import OperatorSpec, collocation_matrix
+from .bkm import BoundaryData, boundary_groups
 
 
 @dataclass
 class SolutionField:
-    """Solved expansion with a domain evaluator and solve diagnostics."""
+    """Solved expansion over its trial columns, with solve diagnostics."""
 
     coefficients: np.ndarray
     cond_est: float
     residual_inf: float
-    _evaluate: Callable
+    op: Optional[OperatorSpec]
+    kernel: RadialKernel
+    columns: list  # collocation column groups the coefficients pair with
 
     def evaluate(self, points) -> np.ndarray:
-        return self._evaluate(np.atleast_2d(np.asarray(points, dtype=float)))
+        rows = [("value", points)]
+        return collocation_matrix(self.op, self.kernel, rows, self.columns) @ self.coefficients
 
 
 @dataclass
@@ -58,6 +50,7 @@ class MkmSystem:
     nodes: NodeSet
     op: OperatorSpec
     kernel: RadialKernel
+    columns: list  # collocation column groups of the trial functions
 
     @property
     def size(self) -> int:
@@ -84,66 +77,28 @@ def assemble_mkm(
     """
     bc.check_counts(nodes)
     centers = nodes.all_points()
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nd, nn = nodes.dirichlet_normals, nodes.neumann_normals
-    n_all, L_D, L_N = len(centers), len(xd), len(xn)
-
     f = np.asarray(f_samples, dtype=float)
-    if len(f) != n_all:
-        raise ValueError(f"expected {n_all} source samples, got {len(f)}")
+    if len(f) != len(centers):
+        raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
 
-    size = n_all + L_D + L_N
-    A = np.empty((size, size))
-
-    rows_g = slice(0, n_all)
-    rows_d = slice(n_all, n_all + L_D)
-    rows_n = slice(n_all + L_D, size)
-    cols_a = slice(0, n_all)
-    cols_d = slice(n_all, n_all + L_D)
-    cols_n = slice(n_all + L_D, size)
-
-    A[rows_g, cols_a] = ll_star_matrix(op, phi, centers, centers)
-    A[rows_g, cols_d] = operator_image_matrix(op, phi, centers, xd)
-    A[rows_d, cols_a] = adjoint_image_matrix(op, phi, xd, centers)
-    A[rows_d, cols_d] = kernel_value_matrix(phi, xd, xd)
-    if L_N:
-        A[rows_g, cols_n] = operator_source_normal_matrix(op, phi, centers, xn, nn)
-        A[rows_n, cols_a] = adjoint_normal_image_matrix(op, phi, xn, centers, nn)
-        A[rows_d, cols_n] = source_normal_matrix(phi, xd, xn, nn)
-        A[rows_n, cols_d] = field_normal_matrix(phi, xn, xd, nn)
-        A[rows_n, cols_n] = mixed_normal_matrix(phi, xn, xn, nn, nn)
-
+    rows = [("op", centers)] + boundary_groups(nodes)
+    cols = [("adjoint", centers)] + boundary_groups(nodes)
+    A = collocation_matrix(op, phi, rows, cols)
     rhs = np.concatenate([f, bc.dirichlet_values, bc.neumann_values])
-    return MkmSystem(matrix=A, rhs=rhs, nodes=nodes, op=op, kernel=phi)
+    return MkmSystem(matrix=A, rhs=rhs, nodes=nodes, op=op, kernel=phi, columns=cols)
 
 
-def solve_mkm(system: MkmSystem) -> SolutionField:
-    """Solve the Hermite system and wrap the two-family evaluator."""
-    A, rhs = system.matrix, system.rhs
-    lu = factor(A, "Hermite collocation")
+def _solved(A, rhs, lu: Factor, op, phi, columns) -> SolutionField:
     coeffs = lu.solve(rhs)
     scale = np.max(np.abs(rhs)) or 1.0
     residual = float(np.max(np.abs(A @ coeffs - rhs)) / scale)
+    return SolutionField(coeffs, lu.cond_est, residual, op, phi, columns)
 
-    nodes, op, phi = system.nodes, system.op, system.kernel
-    centers = nodes.all_points()
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nn = nodes.neumann_normals
-    n_all, L_D = len(centers), len(xd)
-    alpha = coeffs[:n_all]
-    beta_d = coeffs[n_all : n_all + L_D]
-    beta_n = coeffs[n_all + L_D :]
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = adjoint_image_matrix(op, phi, pts, centers) @ alpha
-        out += kernel_value_matrix(phi, pts, xd) @ beta_d
-        if len(beta_n):
-            out += source_normal_matrix(phi, pts, xn, nn) @ beta_n
-        return out
-
-    return SolutionField(
-        coefficients=coeffs, cond_est=lu.cond_est, residual_inf=residual, _evaluate=evaluate
-    )
+def solve_mkm(system: MkmSystem) -> SolutionField:
+    """Solve the Hermite system; the field evaluates both trial families."""
+    lu = factor(system.matrix, "Hermite collocation")
+    return _solved(system.matrix, system.rhs, lu, system.op, system.kernel, system.columns)
 
 
 def solve_kansa_baseline(
@@ -161,31 +116,11 @@ def solve_kansa_baseline(
     """
     bc.check_counts(nodes)
     centers = nodes.all_points()
-    xi = nodes.interior
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nn = nodes.neumann_normals
-    N = len(xi)
-
     f = np.asarray(f_samples, dtype=float)
     if len(f) != len(centers):
         raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
 
-    blocks = []
-    if N:
-        blocks.append(operator_image_matrix(op, phi, xi, centers))
-    blocks.append(kernel_value_matrix(phi, xd, centers))
-    if len(xn):
-        blocks.append(field_normal_matrix(phi, xn, centers, nn))
-    A = np.vstack(blocks)
-    rhs = np.concatenate([f[:N], bc.dirichlet_values, bc.neumann_values])
-    lu = factor(A, "collocation")
-    alpha = lu.solve(rhs)
-    scale = np.max(np.abs(rhs)) or 1.0
-    residual = float(np.max(np.abs(A @ alpha - rhs)) / scale)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return kernel_value_matrix(phi, pts, centers) @ alpha
-
-    return SolutionField(
-        coefficients=alpha, cond_est=lu.cond_est, residual_inf=residual, _evaluate=evaluate
-    )
+    cols = [("value", centers)]
+    A = collocation_matrix(op, phi, [("op", nodes.interior)] + boundary_groups(nodes), cols)
+    rhs = np.concatenate([f[: nodes.n_interior], bc.dirichlet_values, bc.neumann_values])
+    return _solved(A, rhs, factor(A, "collocation"), op, phi, cols)

@@ -5,18 +5,22 @@ constant coefficients: the 2D Laplacian (D=1, gamma=0), Helmholtz
 (gamma=+k^2), modified Helmholtz (gamma=-k^2) and convection-diffusion
 (D, velocity v). The adjoint-sign variant L* flips the velocity.
 
-Besides the scalar operations, this module provides vectorized pairwise
-matrix builders used by every collocation scheme: kernel values,
-field/source normal derivatives, the mixed two-normal derivative, and
-operator images up to L L* (which needs third and fourth radial
-derivatives). Coincident field/source pairs (r below 1e-8) are patched
-with the analytic limits; for smooth radial kernels the gradient at the
-origin is the zero vector and the Laplacian limit is 2*phi''(0).
+Besides the scalar operations, this module builds every collocation
+matrix of every scheme with one function, `collocation_matrix`: rows are
+field values, field-normal derivatives or operator images L, columns are
+kernels, source-normal derivatives or adjoint images L*, and each of the
+nine (row, column) pairs is one analytic block formula, up to L L*
+(which needs third and fourth radial derivatives). Coincident
+field/source pairs (r below 1e-8) are patched with the analytic limits;
+for smooth radial kernels the gradient at the origin is the zero vector
+and the Laplacian limit is 2*phi''(0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +48,14 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ParameterError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("helmholtz_2d", "mod_helmholtz_2d") and self.k <= 0:
-            raise ParameterError(f"wavenumber k must be positive, got {self.k}")
+        if self.kind in ("helmholtz_2d", "mod_helmholtz_2d") and not (
+            math.isfinite(self.k) and self.k > 0
+        ):
+            raise ParameterError(f"wavenumber k must be positive and finite, got {self.k}")
         if self.kind == "convection_diffusion_2d":
-            if self.diffusivity <= 0:
+            if not (math.isfinite(self.diffusivity) and self.diffusivity > 0):
                 raise ParameterError(
-                    f"diffusivity must be positive, got {self.diffusivity}"
+                    f"diffusivity must be positive and finite, got {self.diffusivity}"
                 )
             if not np.all(np.isfinite(self.velocity)):
                 raise ParameterError(f"velocity must be finite, got {self.velocity}")
@@ -107,70 +113,68 @@ def adjoint_of(op: OperatorSpec) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# pairwise plumbing
+# collocation matrices
 # ---------------------------------------------------------------------------
 
-
-def _pairwise(X: np.ndarray, Y: np.ndarray):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d = X[:, None, :] - Y[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    return d, r
+#: row kinds: field value, field-normal derivative, operator image L
+ROW_KINDS = ("value", "normal", "op")
+#: column kinds: kernel, source-normal derivative, adjoint image L*
+COLUMN_KINDS = ("value", "normal", "adjoint")
 
 
-def _masked_radius(kernel: RadialKernel, r: np.ndarray, what: str):
-    """Return (safe_r, coincident_mask); refuse poles of singular kernels."""
-    z = r < COINCIDENT_TOL
-    if kernel.singular_at_origin and np.any(z):
-        raise SingularityError(
-            f"{what}: coincident points hit the pole of kernel {kernel.name}"
-        )
-    return np.where(z, 1.0, r), z
+class _Pairs:
+    """Pairwise geometry of one row group against one column group.
 
-
-def kernel_value_matrix(kernel: RadialKernel, X, Y) -> np.ndarray:
-    """phi(|x_i - y_j|)."""
-    _, r = _pairwise(X, Y)
-    if kernel.singular_at_origin and np.any(r == 0.0):
-        raise SingularityError(f"kernel {kernel.name} evaluated at its pole")
-    return kernel.phi(r)
-
-
-def field_normal_matrix(kernel: RadialKernel, X, Y, normals_X) -> np.ndarray:
-    """Directional derivative at the field point: phi'(r) (d.n_i)/r."""
-    d, r = _pairwise(X, Y)
-    nX = np.atleast_2d(np.asarray(normals_X, dtype=float))
-    rs, z = _masked_radius(kernel, r, "field normal derivative")
-    proj = np.einsum("ijk,ik->ij", d, nX)
-    out = kernel.d1(rs) * proj / rs
-    out[z] = 0.0
-    return out
-
-def source_normal_matrix(kernel: RadialKernel, X, Y, normals_Y) -> np.ndarray:
-    """Directional derivative at the source point: -phi'(r) (d.n_j)/r."""
-    d, r = _pairwise(X, Y)
-    nY = np.atleast_2d(np.asarray(normals_Y, dtype=float))
-    rs, z = _masked_radius(kernel, r, "source normal derivative")
-    proj = np.einsum("ijk,jk->ij", d, nY)
-    out = -kernel.d1(rs) * proj / rs
-    out[z] = 0.0
-    return out
-
-
-def mixed_normal_matrix(kernel: RadialKernel, X, Y, normals_X, normals_Y) -> np.ndarray:
-    """Field-normal derivative of the source-normal derivative.
-
-    Symmetric under the simultaneous swap (x, n_x) <-> (y, n_y); the
-    coincident limit is -phi''(0) (n_x . n_y).
+    `d` holds x_i - y_j (shape (m, n, 2)) and `r` its length; the
+    coincident mask `z` (r < COINCIDENT_TOL) and the safe divisor `rs`
+    (r with coincident pairs set to 1) are computed on first use, since
+    plain kernel values need neither. Refuses poles of singular kernels.
     """
-    d, r = _pairwise(X, Y)
-    nX = np.atleast_2d(np.asarray(normals_X, dtype=float))
-    nY = np.atleast_2d(np.asarray(normals_Y, dtype=float))
-    rs, z = _masked_radius(kernel, r, "mixed normal derivative")
-    px = np.einsum("ijk,ik->ij", d, nX)
-    py = np.einsum("ijk,jk->ij", d, nY)
-    nn = nX @ nY.T
+
+    def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str):
+        self.d = X[:, None, :] - Y[None, :, :]
+        self.r = np.sqrt(np.einsum("ijk,ijk->ij", self.d, self.d))
+        if kernel.singular_at_origin and np.any(self.z):
+            raise SingularityError(
+                f"{what}: coincident points hit the pole of kernel {kernel.name}"
+            )
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.r < COINCIDENT_TOL
+
+    @cached_property
+    def rs(self) -> np.ndarray:
+        return np.where(self.z, 1.0, self.r)
+
+
+def _value_value(op, kernel, g, nx, ny):
+    return kernel.phi(g.r)
+
+
+def _normal_value(op, kernel, g, nx, ny):
+    # directional derivative at the field point: phi'(r) (d.n_i)/r
+    proj = np.einsum("ijk,ik->ij", g.d, nx)
+    out = kernel.d1(g.rs) * proj / g.rs
+    out[g.z] = 0.0
+    return out
+
+
+def _value_normal(op, kernel, g, nx, ny):
+    # directional derivative at the source point: -phi'(r) (d.n_j)/r
+    proj = np.einsum("ijk,jk->ij", g.d, ny)
+    out = -kernel.d1(g.rs) * proj / g.rs
+    out[g.z] = 0.0
+    return out
+
+
+def _normal_normal(op, kernel, g, nx, ny):
+    # field-normal derivative of the source-normal derivative; symmetric
+    # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
+    rs, z = g.rs, g.z
+    px = np.einsum("ijk,ik->ij", g.d, nx)
+    py = np.einsum("ijk,jk->ij", g.d, ny)
+    nn = nx @ ny.T
     d1, d2 = kernel.d1(rs), kernel.d2(rs)
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
     if np.any(z):
@@ -178,23 +182,22 @@ def mixed_normal_matrix(kernel: RadialKernel, X, Y, normals_X, normals_Y) -> np.
     return out
 
 
-def operator_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
-    """L applied in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r."""
-    d, r = _pairwise(X, Y)
-    rs, z = _masked_radius(kernel, r, "operator image")
+def _op_value(op, kernel, g, nx, ny):
+    # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r
+    rs, z = g.rs, g.z
     d1, d2 = kernel.d1(rs), kernel.d2(rs)
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     out = D * (d2 + d1 / rs) + gamma * kernel.phi(rs)
     if np.any(v):
-        out -= d1 * (d @ v) / rs
+        out -= d1 * (g.d @ v) / rs
     if np.any(z):
         out[z] = 2.0 * D * kernel.d2(0.0) + gamma * kernel.phi(0.0)
     return out
 
 
-def adjoint_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
-    """L* applied in the field variable (the Hermite trial basis)."""
-    return operator_image_matrix(adjoint_of(op), kernel, X, Y)
+def _value_adjoint(op, kernel, g, nx, ny):
+    # the adjoint-image trial function L* phi, valued at the field point
+    return _op_value(adjoint_of(op), kernel, g, nx, ny)
 
 
 def _lap_derivative(kernel: RadialKernel, rs: np.ndarray) -> np.ndarray:
@@ -202,55 +205,43 @@ def _lap_derivative(kernel: RadialKernel, rs: np.ndarray) -> np.ndarray:
     return kernel.d3(rs) + kernel.d2(rs) / rs - kernel.d1(rs) / rs**2
 
 
-def operator_source_normal_matrix(
-    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_Y
-) -> np.ndarray:
-    """L (field) applied to the source-normal basis column."""
-    _require_fourth_order(kernel, third_only=True)
-    d, r = _pairwise(X, Y)
-    nY = np.atleast_2d(np.asarray(normals_Y, dtype=float))
-    rs, z = _masked_radius(kernel, r, "operator image of normal basis")
+def _op_normal(op, kernel, g, nx, ny):
+    # L (field) applied to the source-normal column
+    d, rs, z = g.d, g.rs, g.z
     d1, d2 = kernel.d1(rs), kernel.d2(rs)
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    py = np.einsum("ijk,jk->ij", d, nY)
+    py = np.einsum("ijk,jk->ij", d, ny)
     out = -(D * _lap_derivative(kernel, rs) + gamma * d1) * py / rs
     if np.any(v):
         vd = d @ v
-        vn = np.broadcast_to(nY @ v, out.shape)
+        vn = np.broadcast_to(ny @ v, out.shape)
         out += d2 * py * vd / rs**2 + d1 * (vn / rs - py * vd / rs**3)
     if np.any(z):
-        vn = np.broadcast_to(nY @ v, out.shape)
+        vn = np.broadcast_to(ny @ v, out.shape)
         out[z] = (kernel.d2(0.0) * vn)[z]
     return out
 
 
-def adjoint_normal_image_matrix(
-    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_X
-) -> np.ndarray:
-    """Field-normal derivative of the L* image (boundary rows on trial columns)."""
-    _require_fourth_order(kernel, third_only=True)
-    d, r = _pairwise(X, Y)
-    nX = np.atleast_2d(np.asarray(normals_X, dtype=float))
-    rs, z = _masked_radius(kernel, r, "normal derivative of operator image")
+def _normal_adjoint(op, kernel, g, nx, ny):
+    # field-normal derivative of the L* image
+    d, rs, z = g.d, g.rs, g.z
     d1, d2 = kernel.d1(rs), kernel.d2(rs)
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    px = np.einsum("ijk,ik->ij", d, nX)
+    px = np.einsum("ijk,ik->ij", d, nx)
     out = (D * _lap_derivative(kernel, rs) + gamma * d1) * px / rs
     if np.any(v):
         vd = d @ v
-        vn = np.broadcast_to((nX @ v)[:, None], out.shape)
+        vn = np.broadcast_to((nx @ v)[:, None], out.shape)
         out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
     if np.any(z):
-        vn = np.broadcast_to((nX @ v)[:, None], out.shape)
+        vn = np.broadcast_to((nx @ v)[:, None], out.shape)
         out[z] = (kernel.d2(0.0) * vn)[z]
     return out
 
 
-def ll_star_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
-    """L L* applied to the kernel: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2."""
-    _require_fourth_order(kernel)
-    d, r = _pairwise(X, Y)
-    rs, z = _masked_radius(kernel, r, "L L* image")
+def _op_adjoint(op, kernel, g, nx, ny):
+    # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2
+    d, rs, z = g.d, g.rs, g.z
     d1, d2, d3, d4 = kernel.d1(rs), kernel.d2(rs), kernel.d3(rs), kernel.d4(rs)
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     bilap = d4 + 2.0 * d3 / rs - d2 / rs**2 + d1 / rs**3
@@ -268,6 +259,121 @@ def ll_star_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
             - kernel.d2(0.0) * float(v @ v)
         )
     return out
+
+
+#: (row kind, column kind) -> (block formula, highest radial derivative read)
+_FORMULAS = {
+    ("value", "value"): (_value_value, 0),
+    ("value", "normal"): (_value_normal, 1),
+    ("value", "adjoint"): (_value_adjoint, 2),
+    ("normal", "value"): (_normal_value, 1),
+    ("normal", "normal"): (_normal_normal, 2),
+    ("normal", "adjoint"): (_normal_adjoint, 3),
+    ("op", "value"): (_op_value, 2),
+    ("op", "normal"): (_op_normal, 3),
+    ("op", "adjoint"): (_op_adjoint, 4),
+}
+
+
+def _group(group, kinds):
+    """(kind, points, normals or None), arrays as float rows of shape (m, 2)."""
+    kind = group[0]
+    if kind not in kinds or len(group) != (3 if kind == "normal" else 2):
+        raise ValueError(
+            f"collocation group must be (kind, points) with kind in {kinds}, "
+            f"plus normals for 'normal'; got {group[:1]!r}"
+        )
+    arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in group[1:]]
+    return kind, arrays[0], arrays[1] if kind == "normal" else None
+
+
+def _block(op, kernel, row, col) -> np.ndarray:
+    (rk, X, nx), (ck, Y, ny) = row, col
+    if not (len(X) and len(Y)):
+        return np.empty((len(X), len(Y)))
+    formula, order = _FORMULAS[rk, ck]
+    if order > 2:
+        _require_fourth_order(kernel, third_only=order == 3)
+    return formula(op, kernel, _Pairs(kernel, X, Y, f"{rk} rows x {ck} columns"), nx, ny)
+
+
+def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:
+    """Hermite collocation matrix of row functionals against column trial functions.
+
+    `rows` lists groups ("value", X), ("normal", X, normals) or ("op", X):
+    field values, field-normal derivatives or operator images at the
+    points X. `cols` lists groups ("value", Y), ("normal", Y, normals) or
+    ("adjoint", Y): kernels, source-normal derivatives or adjoint-operator
+    images L* centred at Y. Each (row, column) group pair is one block,
+    stacked in list order; `op` may be None when no block involves an
+    operator. Empty groups contribute no rows or columns.
+    """
+    rows = [_group(g, ROW_KINDS) for g in rows]
+    cols = [_group(g, COLUMN_KINDS) for g in cols]
+    blocks = [[_block(op, kernel, row, col) for col in cols] for row in rows]
+    if len(rows) == len(cols) == 1:
+        return blocks[0][0]  # a lone block is returned as it is, not copied
+    # the output is allocated after the blocks: allocating it first made
+    # large assemblies measurably slower
+    heights = [len(X) for _, X, _ in rows]
+    widths = [len(Y) for _, Y, _ in cols]
+    out = np.empty((sum(heights), sum(widths)))
+    for i, row in enumerate(blocks):
+        for j, block in enumerate(row):
+            r0, c0 = sum(heights[:i]), sum(widths[:j])
+            out[r0 : r0 + heights[i], c0 : c0 + widths[j]] = block
+    return out
+
+
+def kernel_value_matrix(kernel: RadialKernel, X, Y) -> np.ndarray:
+    """phi(|x_i - y_j|)."""
+    return collocation_matrix(None, kernel, [("value", X)], [("value", Y)])
+
+
+def field_normal_matrix(kernel: RadialKernel, X, Y, normals_X) -> np.ndarray:
+    """Directional derivative at the field point: phi'(r) (d.n_i)/r."""
+    return collocation_matrix(None, kernel, [("normal", X, normals_X)], [("value", Y)])
+
+
+def source_normal_matrix(kernel: RadialKernel, X, Y, normals_Y) -> np.ndarray:
+    """Directional derivative at the source point: -phi'(r) (d.n_j)/r."""
+    return collocation_matrix(None, kernel, [("value", X)], [("normal", Y, normals_Y)])
+
+
+def mixed_normal_matrix(kernel: RadialKernel, X, Y, normals_X, normals_Y) -> np.ndarray:
+    """Field-normal derivative of the source-normal derivative."""
+    return collocation_matrix(
+        None, kernel, [("normal", X, normals_X)], [("normal", Y, normals_Y)]
+    )
+
+
+def operator_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
+    """L applied in the field variable."""
+    return collocation_matrix(op, kernel, [("op", X)], [("value", Y)])
+
+
+def adjoint_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
+    """L* applied in the field variable (the Hermite trial basis)."""
+    return collocation_matrix(op, kernel, [("value", X)], [("adjoint", Y)])
+
+
+def operator_source_normal_matrix(
+    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_Y
+) -> np.ndarray:
+    """L (field) applied to the source-normal basis column."""
+    return collocation_matrix(op, kernel, [("op", X)], [("normal", Y, normals_Y)])
+
+
+def adjoint_normal_image_matrix(
+    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_X
+) -> np.ndarray:
+    """Field-normal derivative of the L* image (boundary rows on trial columns)."""
+    return collocation_matrix(op, kernel, [("normal", X, normals_X)], [("adjoint", Y)])
+
+
+def ll_star_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
+    """L L* applied to the kernel."""
+    return collocation_matrix(op, kernel, [("op", X)], [("adjoint", Y)])
 
 
 def _require_fourth_order(kernel: RadialKernel, third_only: bool = False):

@@ -147,11 +147,40 @@ def test_timing_accepts_only_booleans(flag):
 
 @pytest.mark.parametrize(
     "key, bad",
-    [("n_boundary", "abc"), ("n_boundary", [16, "x"]), ("n_interior", 6.5), ("seed", True), ("bpm_order", None)],
+    [
+        ("n_boundary", "abc"),
+        ("n_boundary", [16, "x"]),
+        ("n_interior", 6.5),
+        ("seed", True),
+        ("bpm_order", None),
+        ("n_interior", -1),
+        ("n_boundary", 3),
+        ("n_boundary", [16, 2]),
+        ("bpm_order", 0),
+    ],
 )
 def test_non_integer_counts_rejected(key, bad):
     with pytest.raises(ConfigError, match=key):
         BenchConfig.from_dict({**SMALL, key: bad})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cfg: run_benchmark(cfg),
+        lambda cfg: convergence_study(cfg, [16, 32, 64]),
+    ],
+    ids=["run_benchmark", "convergence_study"],
+)
+def test_unknown_problem_fails_before_any_solve(monkeypatch, entry):
+    from rbfbench import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "_single_run", lambda *args: calls.append(args))
+    cfg = {**SMALL, "problems": ["helmholtz_disk", "mystery"]}
+    with pytest.raises(ConfigError, match="mystery"):
+        entry(cfg)
+    assert calls == []
 
 
 def test_default_suite_covers_every_method():
@@ -251,6 +280,17 @@ def test_cli_run_and_converge(tmp_path, capsys):
     conv = tmp_path / "conv.csv"
     assert main(["converge", "--config", str(cfg), "--ladder", "16,32,64", "--out", str(conv)]) == 0
     assert "improved" in capsys.readouterr().out
+
+
+def test_cli_bad_ladder_is_config_error(tmp_path, capsys):
+    from rbfbench.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problems": ["helmholtz_disk"], "methods": ["bkm"]}\n')
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--config", str(cfg), "--ladder", "16,x,32", "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -195,14 +195,6 @@ def test_p1_accuracy_and_dirichlet_reproduction():
     assert rel < 1e-8
 
 
-def test_interior_values_are_explicit_evaluations():
-    p = get_problem("helmholtz_disk")
-    nodes = mixed_nodes(n_boundary=16, n_interior=12)
-    sol = bkm.solve_indirect(nodes, OP, sample_bc(nodes, p), None, None, U_SHARP)
-    assert len(sol.interior_values) == 12
-    assert np.array_equal(sol.interior_values, sol.evaluate(nodes.interior))
-
-
 def test_inhomogeneous_manufactured_dirichlet_residual():
     exact = lambda q: q[:, 0] ** 2 + q[:, 1] ** 2
     grad = lambda q: 2.0 * q

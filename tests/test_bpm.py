@@ -137,7 +137,7 @@ def test_zero_coefficients_evaluate_to_zero():
     sol = bpm.solve_bpm(nodes, prob, chain_for(p.operator, 2))
     for n in range(3):
         sol.beta_by_order[n] = np.zeros_like(sol.beta_by_order[n])
-    assert bpm.evaluate_bpm(sol, (0.3, 0.2)) == 0.0
+    assert np.array_equal(sol.evaluate(np.array([[0.3, 0.2]])), [0.0])
 
 
 def test_order_zero_evaluation_is_hermite_expansion():
@@ -149,7 +149,7 @@ def test_order_zero_evaluation_is_hermite_expansion():
     u0 = build_kernel("helmholtz_gs_2d", k=2.0)
     ref = bkm.BkmSolution(
         alpha=np.zeros(16), lam=sol.beta_by_order[0], phi=None, u_sharp=u0,
-        nodes=nodes, particular=None, interior_values=np.empty(0), cond_est=1.0,
+        nodes=nodes, particular=None, cond_est=1.0,
     )
     pts = np.array([[0.1, 0.4], [-0.5, 0.2]])
     assert np.allclose(sol.evaluate(pts), ref.homogeneous_value(pts), atol=1e-14)

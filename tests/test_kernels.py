@@ -13,7 +13,6 @@ from rbfbench.kernels import (
     build_kernel,
     check_regulation,
     default_shape_parameter,
-    eval_with_derivatives,
     higher_order_solution,
     probe_singular_at_origin,
     shape_substitute,
@@ -76,8 +75,8 @@ def test_higher_derivatives_match_finite_differences(family):
 def test_eval_with_derivatives_triple():
     kern = _kernel("gaussian")
     for r in (0.1, 1.0, 3.0):
-        phi, d1, d2 = eval_with_derivatives(kern, r)
-        assert phi == kern.phi(r)
+        d1, d2 = kern.d1(r), kern.d2(r)
+        assert kern.phi(r) == pytest.approx(np.exp(-r * r), rel=1e-14)
         assert d1 == pytest.approx(central_d1(kern.phi, r, h=1e-6), rel=1e-5)
         assert d2 == pytest.approx(central_d1(kern.d1, r, h=1e-6), rel=1e-5)
 
@@ -120,10 +119,9 @@ def test_tps_value_and_slope():
 
 def test_singular_kernel_refuses_origin():
     kern = _kernel("laplace_fs_3d")
-    with pytest.raises(SingularityError):
-        kern.phi(0.0)
-    with pytest.raises(SingularityError):
-        eval_with_derivatives(kern, 0.0)
+    for fn in (kern.phi, kern.d1, kern.d2):
+        with pytest.raises(SingularityError):
+            fn(0.0)
 
 
 def test_values_finite_on_validated_range():

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,13 @@ def test_operator_parameter_validation():
         convection_diffusion(0.0, (1.0, 0.0))
     with pytest.raises(ParameterError):
         OperatorSpec("advection")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            helmholtz(bad)
+        with pytest.raises(ParameterError):
+            mod_helmholtz(bad)
+        with pytest.raises(ParameterError):
+            convection_diffusion(bad, (0.0, 0.0))
 
 
 def test_laplacian_of_r_squared_is_four():
@@ -281,3 +291,80 @@ def test_fourth_order_schemes_reject_rough_kernels():
         ll_star_matrix(op, build_kernel("tps"), pts, pts)
     with pytest.raises(KernelSmoothnessError):
         ll_star_matrix(op, build_kernel("exp_decay", omega=1.0), pts, pts)
+
+
+# ---------------------------------------------------------------------------
+# one collocation-matrix builder
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
+
+BLOCK_BUILDERS = (
+    "field_normal_matrix",
+    "source_normal_matrix",
+    "mixed_normal_matrix",
+    "operator_image_matrix",
+    "adjoint_image_matrix",
+    "operator_source_normal_matrix",
+    "adjoint_normal_image_matrix",
+    "ll_star_matrix",
+)
+
+
+def test_solvers_build_blocks_only_through_collocation_matrix():
+    # every solver block and evaluator comes from collocation_matrix; the
+    # per-block builders are entry points for callers outside the library
+    pattern = re.compile(r"\b(" + "|".join(BLOCK_BUILDERS) + r")\b")
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "operators.py" in modules
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in modules
+        if path.name != "operators.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+
+
+def test_collocation_matrix_stacks_the_block_builders():
+    from rbfbench.operators import (
+        collocation_matrix,
+        field_normal_matrix,
+        kernel_value_matrix,
+        mixed_normal_matrix,
+        operator_image_matrix,
+        source_normal_matrix,
+    )
+
+    op = convection_diffusion(0.8, (0.5, -0.4))
+    kern = build_kernel("gaussian", c=0.9)
+    rng = np.random.default_rng(4)
+    X, Y = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (4, 2))
+    theta = rng.uniform(0, 2 * np.pi, 5)
+    n = np.column_stack([np.cos(theta), np.sin(theta)])
+    empty = np.empty((0, 2))
+    rows = [("op", X), ("value", X[:2]), ("normal", empty, empty), ("normal", X, n)]
+    cols = [("value", Y), ("normal", X, n), ("adjoint", Y)]
+    A = collocation_matrix(op, kern, rows, cols)
+    assert A.shape == (12, 13)
+    assert np.array_equal(A[:5, :4], operator_image_matrix(op, kern, X, Y))
+    assert np.array_equal(A[5:7, 4:9], source_normal_matrix(kern, X[:2], X, n))
+    assert np.array_equal(A[7:, :4], field_normal_matrix(kern, X, Y, n))
+    assert np.array_equal(A[7:, 4:9], mixed_normal_matrix(kern, X, X, n, n))
+    assert np.array_equal(A[5:7, 9:], adjoint_image_matrix(op, kern, X[:2], Y))
+    assert np.array_equal(A[:5, 9:], ll_star_matrix(op, kern, X, Y))
+    assert np.array_equal(A[7:, 9:], adjoint_normal_image_matrix(op, kern, X, Y, n))
+    assert np.array_equal(A[:5, 4:9], operator_source_normal_matrix(op, kern, X, X, n))
+    assert np.array_equal(A[5:7, :4], kernel_value_matrix(kern, X[:2], Y))
+
+
+def test_collocation_matrix_rejects_unknown_groups():
+    from rbfbench.operators import collocation_matrix
+
+    kern = build_kernel("mq", c=1.0)
+    pts = np.zeros((1, 2))
+    with pytest.raises(ValueError):
+        collocation_matrix(None, kern, [("adjoint", pts)], [("value", pts)])
+    with pytest.raises(ValueError):
+        collocation_matrix(None, kern, [("normal", pts)], [("value", pts)])
