@@ -10,7 +10,6 @@ byte-identical CSV files; set "timing": true to record solve times.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bkm, bpm, lsq, mkm
-from .errors import ConfigError, RbfError
+from .errors import ConfigError, ParameterError, RbfError
 from .geometry import (
     DomainSpec,
     NodeSet,
@@ -33,11 +32,12 @@ from .kernels import (
     FAMILY_PARAMETERS,
     RadialKernel,
     build_kernel,
+    check_parameter,
     default_shape_parameter,
     higher_order_solution,
 )
 from .operators import OperatorSpec, kernel_value_matrix
-from .problems import BenchmarkProblem, check_consistency, get_problem
+from .problems import PROBLEM_NAMES, BenchmarkProblem, check_consistency, get_problem
 
 CSV_HEADER = (
     "method,kernel,operator,domain,n_boundary,n_interior,shape_param,"
@@ -163,15 +163,16 @@ class BenchConfig:
             "bpm_order",
             "timing",
         }
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-        problems = list(raw.get("problems", ["helmholtz_disk", "poisson_square"]))
-        methods = list(raw.get("methods", list(METHOD_NAMES)))
-        for m in methods:
-            if m not in METHOD_NAMES:
-                raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHOD_NAMES)}")
-        kernels = list(raw.get("kernels", [{"family": "mq"}]))
+        problems = _names(
+            "problem", raw.get("problems", ["helmholtz_disk", "poisson_square"]), PROBLEM_NAMES
+        )
+        methods = _names("method", raw.get("methods", list(METHOD_NAMES)), METHOD_NAMES)
+        kernels = _list("kernels", raw.get("kernels", [{"family": "mq"}]))
         for spec in kernels:
             _check_kernel_spec(spec)
         nb = raw.get("n_boundary", 32)
@@ -185,7 +186,7 @@ class BenchConfig:
             kernels=kernels,
             n_boundary=n_boundary,
             n_interior=_count("n_interior", raw.get("n_interior", 60), 0),
-            seed=_integer("seed", raw.get("seed", 7)),
+            seed=_count("seed", raw.get("seed", 7), 0),
             bpm_order=_count("bpm_order", raw.get("bpm_order", 3), 1),
             timing=timing,
         )
@@ -205,7 +206,8 @@ def _is_real(value) -> bool:
 
 
 def _integer(key: str, value) -> int:
-    if not (_is_real(value) and float(value).is_integer()):
+    # integers are taken as they are: a huge one has no float form
+    if not (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -217,8 +219,22 @@ def _count(key: str, value, least: int) -> int:
     return n
 
 
+def _list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _names(kind: str, value, known) -> list:
+    names = _list(f"{kind}s", value)
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
+    return names
+
+
 def _check_kernel_spec(spec) -> None:
-    """Family known; parameters named for that family, real and finite."""
+    """Family known; parameters named for that family, real and in range."""
     params = dict(spec) if isinstance(spec, dict) else {"family": spec}
     family = params.pop("family", None)
     if family not in CATALOG:
@@ -230,10 +246,14 @@ def _check_kernel_spec(spec) -> None:
                 f"kernel {family!r} takes no parameter {name!r}; "
                 f"allowed: {', '.join(allowed) or 'none'}"
             )
-        if not (_is_real(value) and math.isfinite(value)):
+        if not _is_real(value):
             raise ConfigError(
                 f"kernel {family!r} parameter {name} must be a finite number, got {value!r}"
             )
+        try:
+            check_parameter(family, name, value)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _resolve_kernel(spec, op: Optional[OperatorSpec], nodes: NodeSet) -> RadialKernel:

@@ -9,6 +9,12 @@ catalog sit three construction operators: r^(2m) augmentation,
 higher-order homogeneous solutions of an operator, and the shape
 substitution r -> sqrt(r^2 + c^2).
 
+Each family is one derivative generator: called on an array of radii,
+it yields phi, phi', phi'', ... in turn, up to the family's top order,
+and computes the subexpressions the orders share (the MQ square root,
+the Gaussian exponential, the Bessel values) once per call. Orders past
+the last one read are never evaluated.
+
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
 expansion coefficients absorb any constant, so the choice only matters
@@ -19,71 +25,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import special
 
 from .errors import ParameterError, SingularityError, UnsupportedError
 
-#: kernel families constructible by name
-CATALOG = (
-    "mq",
-    "imq",
-    "gaussian",
-    "tps",
-    "exp_decay",
-    "laplace_fs_1d",
-    "laplace_fs_2d",
-    "laplace_fs_3d",
-    "helmholtz_gs_2d",
-    "helmholtz_gs_3d",
-    "helmholtz_fs_2d",
-    "mod_helmholtz_gs_2d",
-)
-
-#: named parameters (build_kernel keywords) each family takes
-FAMILY_PARAMETERS = {
-    **{family: () for family in CATALOG},
-    "mq": ("c",),
-    "imq": ("c",),
-    "gaussian": ("c",),
-    "exp_decay": ("omega",),
-    "helmholtz_gs_2d": ("k",),
-    "helmholtz_gs_3d": ("k",),
-    "helmholtz_fs_2d": ("k",),
-    "mod_helmholtz_gs_2d": ("k",),
-}
-
-_DerivFn = Callable[[np.ndarray], np.ndarray]
+#: a derivative generator: radii r >= 0 -> phi(r), phi'(r), ... in turn
+_Radial = Callable[[np.ndarray], Iterator[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class RadialKernel:
     """Immutable radial kernel with analytic derivatives.
 
-    `derivs` holds (phi, phi', phi'', phi''', phi'''') as vectorized
-    functions of r >= 0; the last two may be None when a family does not
-    support fourth-order schemes. Functions patch the r == 0 limit where
-    one exists; singular kernels refuse evaluation at r == 0.
+    `radial` is the family's derivative generator and `top_order` the
+    highest radial derivative it yields (4 for families that support
+    fourth-order schemes, 2 otherwise). The generator patches the r == 0
+    limit where one exists; singular kernels refuse evaluation at r == 0.
     """
 
     family: str
     singular_at_origin: bool
+    radial: _Radial = field(repr=False, compare=False)
     c: float = 0.0
     k: float = 0.0
     omega: float = 0.0
     m: int = 0
     order: int = 0
     label: str = ""
-    derivs: tuple = field(default=(), repr=False, compare=False)
+    top_order: int = 2
 
-    def deriv(self, r, order: int = 0):
-        fn = self.derivs[order] if order < len(self.derivs) else None
-        if fn is None:
-            raise UnsupportedError(
-                f"kernel {self.name} has no order-{order} radial derivative"
-            )
+    def derivs_upto(self, r, n: int) -> tuple:
+        """(phi, phi', ..., n-th radial derivative) at r >= 0, from one generator pass.
+
+        Scalar r gives a tuple of floats, array r a tuple of arrays.
+        """
+        if not 0 <= n <= self.top_order:
+            raise UnsupportedError(f"kernel {self.name} has no order-{n} radial derivative")
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -91,8 +73,11 @@ class RadialKernel:
             raise ValueError("radial distance must be nonnegative")
         if self.singular_at_origin and np.any(arr == 0.0):
             raise SingularityError(f"kernel {self.name} is singular at r = 0")
-        out = fn(arr)
-        return float(out[0]) if scalar else out
+        out = tuple(islice(self.radial(arr), n + 1))
+        return tuple(float(v[0]) for v in out) if scalar else out
+
+    def deriv(self, r, order: int = 0):
+        return self.derivs_upto(r, order)[order]
 
     def phi(self, r):
         return self.deriv(r, 0)
@@ -110,32 +95,30 @@ class RadialKernel:
         return self.deriv(r, 4)
 
     @property
-    def has_fourth_order(self) -> bool:
-        return (
-            len(self.derivs) >= 5
-            and self.derivs[3] is not None
-            and self.derivs[4] is not None
+    def derivs(self) -> tuple:
+        """(phi, phi', ..., phi'''') as per-order callables; None above the top order."""
+        return tuple(
+            partial(self.deriv, order=o) if o <= self.top_order else None for o in range(5)
         )
+
+    @property
+    def has_fourth_order(self) -> bool:
+        return self.top_order >= 4
 
     @property
     def name(self) -> str:
         return self.label or self.family
 
 
-def _where0(r: np.ndarray, limit: float, formula: _DerivFn) -> np.ndarray:
-    """Evaluate `formula` on positive entries, patching r == 0 with `limit`."""
-    out = np.full(r.shape, float(limit))
-    nz = r > 0.0
-    if np.any(nz):
-        out[nz] = formula(r[nz])
-    return out
+def _piecewise(mask: np.ndarray, inside, outside) -> np.ndarray:
+    """`inside` where mask holds, `outside` (an array or a constant) elsewhere.
 
-
-def _piecewise(x: np.ndarray, cut: float, small: _DerivFn, large: _DerivFn) -> np.ndarray:
-    out = np.empty_like(x)
-    s = x < cut
-    out[s] = small(x[s])
-    out[~s] = large(x[~s])
+    Patches the r == 0 limit as `_piecewise(r > 0, values, limit)`, the
+    formula having been evaluated on the positive radii only.
+    """
+    out = np.empty(mask.shape)
+    out[mask] = inside
+    out[~mask] = outside
     return out
 
 
@@ -144,210 +127,216 @@ def _piecewise(x: np.ndarray, cut: float, small: _DerivFn, large: _DerivFn) -> n
 # ---------------------------------------------------------------------------
 
 
-def _mq_derivs(c: float) -> tuple:
+def _mq(c: float) -> _Radial:
     c2 = c * c
 
-    def s(r):
-        return np.sqrt(r * r + c2)
+    def radial(r):
+        s = np.sqrt(r * r + c2)
+        yield s
+        yield r / s
+        yield c2 / s**3
+        yield -3.0 * c2 * r / s**5
+        yield -3.0 * c2 * (s**2 - 5.0 * r * r) / s**7
 
-    return (
-        lambda r: s(r),
-        lambda r: r / s(r),
-        lambda r: c2 / s(r) ** 3,
-        lambda r: -3.0 * c2 * r / s(r) ** 5,
-        lambda r: -3.0 * c2 * (s(r) ** 2 - 5.0 * r * r) / s(r) ** 7,
-    )
+    return radial
 
 
-def _imq_derivs(c: float) -> tuple:
+def _imq(c: float) -> _Radial:
     c2 = c * c
 
-    def s(r):
-        return np.sqrt(r * r + c2)
+    def radial(r):
+        s = np.sqrt(r * r + c2)
+        yield 1.0 / s
+        yield -r / s**3
+        yield (2.0 * r * r - c2) / s**5
+        yield 3.0 * r * (3.0 * c2 - 2.0 * r * r) / s**7
+        yield 9.0 / s**5 - 90.0 * r * r / s**7 + 105.0 * r**4 / s**9
 
-    return (
-        lambda r: 1.0 / s(r),
-        lambda r: -r / s(r) ** 3,
-        lambda r: (2.0 * r * r - c2) / s(r) ** 5,
-        lambda r: 3.0 * r * (3.0 * c2 - 2.0 * r * r) / s(r) ** 7,
-        lambda r: 9.0 / s(r) ** 5 - 90.0 * r * r / s(r) ** 7 + 105.0 * r**4 / s(r) ** 9,
-    )
+    return radial
 
 
-def _gaussian_derivs(c: float) -> tuple:
+def _gaussian(c: float) -> _Radial:
     a = 1.0 / (c * c)
 
-    def e(r):
-        return np.exp(-a * r * r)
+    def radial(r):
+        e = np.exp(-a * r * r)
+        yield e
+        yield -2.0 * a * r * e
+        yield (-2.0 * a + 4.0 * a * a * r * r) * e
+        yield (12.0 * a * a * r - 8.0 * a**3 * r**3) * e
+        yield (12.0 * a * a - 48.0 * a**3 * r * r + 16.0 * a**4 * r**4) * e
 
-    return (
-        e,
-        lambda r: -2.0 * a * r * e(r),
-        lambda r: (-2.0 * a + 4.0 * a * a * r * r) * e(r),
-        lambda r: (12.0 * a * a * r - 8.0 * a**3 * r**3) * e(r),
-        lambda r: (12.0 * a * a - 48.0 * a**3 * r * r + 16.0 * a**4 * r**4) * e(r),
-    )
+    return radial
 
 
-def _tps_derivs() -> tuple:
+def _tps() -> _Radial:
     # phi'' has no finite limit at the origin; the r == 0 value is a
     # bookkeeping convention and must not feed operator evaluations there.
-    return (
-        lambda r: _where0(r, 0.0, lambda q: q * q * np.log(q)),
-        lambda r: _where0(r, 0.0, lambda q: 2.0 * q * np.log(q) + q),
-        lambda r: _where0(r, 0.0, lambda q: 2.0 * np.log(q) + 3.0),
-        None,
-        None,
-    )
+    def radial(r):
+        nz = r > 0.0
+        q = r[nz]
+        log = np.log(q)
+        yield _piecewise(nz, q * q * log, 0.0)
+        yield _piecewise(nz, 2.0 * q * log + q, 0.0)
+        yield _piecewise(nz, 2.0 * log + 3.0, 0.0)
+
+    return radial
 
 
-def _exp_decay_derivs(omega: float) -> tuple:
-    def e(r):
-        return np.exp(-omega * r)
+def _exp_decay(omega: float) -> _Radial:
+    def radial(r):
+        e = np.exp(-omega * r)
+        yield e
+        yield -omega * e
+        yield omega * omega * e
 
-    return (
-        e,
-        lambda r: -omega * e(r),
-        lambda r: omega * omega * e(r),
-        None,
-        None,
-    )
+    return radial
 
 
-def _laplace_fs_1d_derivs() -> tuple:
-    return (
-        lambda r: 0.5 * r,
-        lambda r: np.full(r.shape, 0.5),
-        lambda r: np.zeros(r.shape),
-        None,
-        None,
-    )
+def _laplace_fs_1d() -> _Radial:
+    def radial(r):
+        yield 0.5 * r
+        yield np.full(r.shape, 0.5)
+        yield np.zeros(r.shape)
+
+    return radial
 
 
 _INV_2PI = 1.0 / (2.0 * np.pi)
 _INV_4PI = 1.0 / (4.0 * np.pi)
 
 
-def _laplace_fs_2d_derivs() -> tuple:
-    return (
-        lambda r: -np.log(r) * _INV_2PI,
-        lambda r: -_INV_2PI / r,
-        lambda r: _INV_2PI / (r * r),
-        None,
-        None,
-    )
+def _laplace_fs_2d() -> _Radial:
+    def radial(r):
+        yield -np.log(r) * _INV_2PI
+        yield -_INV_2PI / r
+        yield _INV_2PI / (r * r)
+
+    return radial
 
 
-def _laplace_fs_3d_derivs() -> tuple:
-    return (
-        lambda r: _INV_4PI / r,
-        lambda r: -_INV_4PI / (r * r),
-        lambda r: 2.0 * _INV_4PI / r**3,
-        None,
-        None,
-    )
+def _laplace_fs_3d() -> _Radial:
+    def radial(r):
+        yield _INV_4PI / r
+        yield -_INV_4PI / (r * r)
+        yield 2.0 * _INV_4PI / r**3
+
+    return radial
 
 
-def _helmholtz_gs_2d_derivs(k: float) -> tuple:
+def _helmholtz_gs_2d(k: float) -> _Radial:
     # J0(k r); derivatives via J0' = -J1 and J1'(x) = J0(x) - J1(x)/x.
-    def d2(r):
-        return _where0(
-            r,
-            -0.5 * k * k,
-            lambda q: -k * k * special.j0(k * q) + k * special.j1(k * q) / q,
-        )
-
-    def d3(r):
-        return _where0(
-            r,
-            0.0,
-            lambda q: k**3 * special.j1(k * q)
-            + k * k * special.j0(k * q) / q
-            - 2.0 * k * special.j1(k * q) / (q * q),
-        )
-
-    def d4(r):
-        return _where0(
-            r,
+    def radial(r):
+        j0 = special.j0(k * r)
+        yield j0
+        j1 = special.j1(k * r)
+        yield -k * j1
+        nz = r > 0.0
+        q, j0, j1 = r[nz], j0[nz], j1[nz]
+        yield _piecewise(nz, -k * k * j0 + k * j1 / q, -0.5 * k * k)
+        yield _piecewise(nz, k**3 * j1 + k * k * j0 / q - 2.0 * k * j1 / (q * q), 0.0)
+        yield _piecewise(
+            nz,
+            k**4 * j0
+            - 2.0 * k**3 * j1 / q
+            - 3.0 * k * k * j0 / (q * q)
+            + 6.0 * k * j1 / q**3,
             0.375 * k**4,
-            lambda q: k**4 * special.j0(k * q)
-            - 2.0 * k**3 * special.j1(k * q) / q
-            - 3.0 * k * k * special.j0(k * q) / (q * q)
-            + 6.0 * k * special.j1(k * q) / q**3,
         )
 
-    return (
-        lambda r: special.j0(k * r),
-        lambda r: -k * special.j1(k * r),
-        d2,
-        d3,
-        d4,
-    )
+    return radial
 
 
-def _helmholtz_gs_3d_derivs(k: float) -> tuple:
+def _helmholtz_gs_3d(k: float) -> _Radial:
     # sin(x)/x with x = k r; Taylor branch below x = 1e-3 avoids the
     # catastrophic cancellation of (x cos x - sin x) at tiny arguments.
-    def phi(r):
+    def radial(r):
         x = k * r
-        return _piecewise(
-            x,
-            1e-3,
-            lambda q: 1.0 - q * q / 6.0 + q**4 / 120.0,
-            lambda q: np.sin(q) / q,
+        small = x < 1e-3
+        t, q = x[small], x[~small]
+        sin = np.sin(q)
+        yield _piecewise(small, 1.0 - t * t / 6.0 + t**4 / 120.0, sin / q)
+        cos = np.cos(q)
+        yield k * _piecewise(
+            small, -t / 3.0 + t**3 / 30.0 - t**5 / 840.0, (q * cos - sin) / (q * q)
+        )
+        yield k * k * _piecewise(
+            small,
+            -1.0 / 3.0 + t * t / 10.0 - t**4 / 168.0,
+            ((2.0 - q * q) * sin - 2.0 * q * cos) / q**3,
         )
 
-    def d1(r):
-        x = k * r
-        return k * _piecewise(
-            x,
-            1e-3,
-            lambda q: -q / 3.0 + q**3 / 30.0 - q**5 / 840.0,
-            lambda q: (q * np.cos(q) - np.sin(q)) / (q * q),
+    return radial
+
+
+def _helmholtz_fs_2d(k: float) -> _Radial:
+    def radial(r):
+        y0 = special.y0(k * r)
+        yield 0.25 * y0
+        y1 = special.y1(k * r)
+        yield -0.25 * k * y1
+        yield -0.25 * k * k * y0 + 0.25 * k * y1 / r
+
+    return radial
+
+
+def _mod_helmholtz_gs_2d(k: float) -> _Radial:
+    def radial(r):
+        i0 = special.i0(k * r)
+        yield i0
+        i1 = special.i1(k * r)
+        yield k * i1
+        nz = r > 0.0
+        yield _piecewise(nz, k * k * i0[nz] - k * i1[nz] / r[nz], 0.5 * k * k)
+
+    return radial
+
+
+#: family -> (derivative generator factory, singular at the origin, top order)
+_FAMILIES = {
+    "mq": (_mq, False, 4),
+    "imq": (_imq, False, 4),
+    "gaussian": (_gaussian, False, 4),
+    "tps": (_tps, False, 2),
+    "exp_decay": (_exp_decay, False, 2),
+    "laplace_fs_1d": (_laplace_fs_1d, False, 2),
+    "laplace_fs_2d": (_laplace_fs_2d, True, 2),
+    "laplace_fs_3d": (_laplace_fs_3d, True, 2),
+    "helmholtz_gs_2d": (_helmholtz_gs_2d, False, 4),
+    "helmholtz_gs_3d": (_helmholtz_gs_3d, False, 2),
+    "helmholtz_fs_2d": (_helmholtz_fs_2d, True, 2),
+    "mod_helmholtz_gs_2d": (_mod_helmholtz_gs_2d, False, 2),
+}
+
+#: kernel families constructible by name
+CATALOG = tuple(_FAMILIES)
+
+#: named parameters (build_kernel keywords) each family takes, each with
+#: its range: a finite number ">= 0" or "> 0"
+FAMILY_PARAMETERS = {
+    **{family: {} for family in CATALOG},
+    "mq": {"c": ">= 0"},
+    "imq": {"c": "> 0"},
+    "gaussian": {"c": "> 0"},
+    "exp_decay": {"omega": "> 0"},
+    "helmholtz_gs_2d": {"k": "> 0"},
+    "helmholtz_gs_3d": {"k": "> 0"},
+    "helmholtz_fs_2d": {"k": "> 0"},
+    "mod_helmholtz_gs_2d": {"k": "> 0"},
+}
+
+
+def check_parameter(family: str, name: str, value) -> float:
+    """`value` as a float if it lies in the range of `family`'s parameter `name`."""
+    bound = FAMILY_PARAMETERS[family][name]
+    try:
+        ok = math.isfinite(value) and (value > 0 or (value == 0 and bound == ">= 0"))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(
+            f"kernel {family!r} parameter {name} must be a finite number {bound}, got {value!r}"
         )
-
-    def d2(r):
-        x = k * r
-        return k * k * _piecewise(
-            x,
-            1e-3,
-            lambda q: -1.0 / 3.0 + q * q / 10.0 - q**4 / 168.0,
-            lambda q: ((2.0 - q * q) * np.sin(q) - 2.0 * q * np.cos(q)) / q**3,
-        )
-
-    return (phi, d1, d2, None, None)
-
-
-def _helmholtz_fs_2d_derivs(k: float) -> tuple:
-    return (
-        lambda r: 0.25 * special.y0(k * r),
-        lambda r: -0.25 * k * special.y1(k * r),
-        lambda r: -0.25 * k * k * special.y0(k * r) + 0.25 * k * special.y1(k * r) / r,
-        None,
-        None,
-    )
-
-
-def _mod_helmholtz_gs_2d_derivs(k: float) -> tuple:
-    def d2(r):
-        return _where0(
-            r,
-            0.5 * k * k,
-            lambda q: k * k * special.i0(k * q) - k * special.i1(k * q) / q,
-        )
-
-    return (
-        lambda r: special.i0(k * r),
-        lambda r: k * special.i1(k * r),
-        d2,
-        None,
-        None,
-    )
-
-
-def _require_positive(name: str, value: Optional[float]) -> float:
-    if value is None or not math.isfinite(value) or value <= 0:
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
     return float(value)
 
 
@@ -360,55 +349,30 @@ def build_kernel(
     """Construct a catalog kernel by family name.
 
     Shape parameter c defaults to 1 for MQ/inverse-MQ/Gaussian when not
-    given; wavenumber k and decay rate omega are required (and positive)
-    for the families that use them. Negative or non-finite c is rejected.
+    given; wavenumber k and decay rate omega are required for the
+    families that use them. Each parameter must lie in its range
+    (`FAMILY_PARAMETERS`); parameters a family does not take are ignored.
     """
-    if c is not None and not (math.isfinite(c) and c >= 0):
-        raise ParameterError(f"shape parameter c must be finite and nonnegative, got {c}")
-
-    if family in ("mq", "imq", "gaussian"):
-        cv = 1.0 if c is None else float(c)
-        if family == "gaussian":
-            cv = _require_positive("gaussian shape parameter c", cv)
-            derivs = _gaussian_derivs(cv)
-        elif family == "mq":
-            derivs = _mq_derivs(cv)
-        else:
-            cv = _require_positive("imq shape parameter c", cv)
-            derivs = _imq_derivs(cv)
-        return RadialKernel(family, False, c=cv, derivs=derivs)
-    if family == "tps":
-        return RadialKernel(family, False, derivs=_tps_derivs())
-    if family == "exp_decay":
-        w = _require_positive("decay rate omega", omega)
-        return RadialKernel(family, False, omega=w, derivs=_exp_decay_derivs(w))
-    if family == "laplace_fs_1d":
-        return RadialKernel(family, False, derivs=_laplace_fs_1d_derivs())
-    if family == "laplace_fs_2d":
-        return RadialKernel(family, True, derivs=_laplace_fs_2d_derivs())
-    if family == "laplace_fs_3d":
-        return RadialKernel(family, True, derivs=_laplace_fs_3d_derivs())
-    if family == "helmholtz_gs_2d":
-        kv = _require_positive("wavenumber k", k)
-        return RadialKernel(family, False, k=kv, derivs=_helmholtz_gs_2d_derivs(kv))
-    if family == "helmholtz_gs_3d":
-        kv = _require_positive("wavenumber k", k)
-        return RadialKernel(family, False, k=kv, derivs=_helmholtz_gs_3d_derivs(kv))
-    if family == "helmholtz_fs_2d":
-        kv = _require_positive("wavenumber k", k)
-        return RadialKernel(family, True, k=kv, derivs=_helmholtz_fs_2d_derivs(kv))
-    if family == "mod_helmholtz_gs_2d":
-        kv = _require_positive("wavenumber k", k)
-        return RadialKernel(family, False, k=kv, derivs=_mod_helmholtz_gs_2d_derivs(kv))
-    raise ParameterError(f"unknown kernel family {family!r}")
+    if family not in CATALOG:
+        raise ParameterError(f"unknown kernel family {family!r}")
+    given = {"c": 1.0 if c is None else c, "k": k, "omega": omega}
+    params = {
+        name: check_parameter(family, name, given[name]) for name in FAMILY_PARAMETERS[family]
+    }
+    make, singular, top = _FAMILIES[family]
+    return RadialKernel(family, singular, make(**params), top_order=top, **params)
 
 
 # ---------------------------------------------------------------------------
 # construction operators
 # ---------------------------------------------------------------------------
+#
+# The composite generators read their base's generator directly: the radii
+# they pass it are positive by construction, so derivs_upto's input checks
+# would only repeat themselves.
 
 
-def probe_singular_at_origin(phi: Callable[[float], float]) -> bool:
+def probe_singular_at_origin(phi: Callable[[np.ndarray], np.ndarray]) -> bool:
     """Sample |phi| at r = 1e-3 .. 1e-9 and flag monotone divergence.
 
     Catches both algebraic (1/r) and logarithmic blow-up; bounded kernels
@@ -418,6 +382,12 @@ def probe_singular_at_origin(phi: Callable[[float], float]) -> bool:
     vals = np.array([abs(float(phi(np.atleast_1d(r))[0])) for r in rs])
     increasing = bool(np.all(np.diff(vals) > 0))
     return increasing and vals[-1] - vals[0] > 0.5
+
+
+def _composite(family: str, radial: _Radial, **fields) -> RadialKernel:
+    """A constructed kernel, flagged singular when its sampled values diverge."""
+    singular = probe_singular_at_origin(lambda r: next(radial(r)))
+    return RadialKernel(family, singular, radial, **fields)
 
 
 def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
@@ -432,52 +402,35 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
     if c == 0.0:
         return replace(kernel, family="substituted", label=label)
 
-    b0, b1, b2, b3, b4 = (kernel.derivs + (None,) * 5)[:5]
-    c2 = c * c
+    top = 4 if kernel.top_order >= 4 else 2
+    mq = _mq(c)
 
-    def s(r):
-        return np.sqrt(r * r + c2)
+    def radial(r):
+        # Faa di Bruno through s(r) = sqrt(r^2 + c^2), whose derivatives
+        # are the MQ family's
+        s = mq(r)
+        q = next(s)
+        b = kernel.radial(q)
+        yield next(b)
+        s1, b1 = next(s), next(b)
+        yield b1 * s1
+        s2, b2 = next(s), next(b)
+        yield b2 * s1**2 + b1 * s2
+        if top < 4:
+            return
+        s3, b3 = next(s), next(b)
+        yield b3 * s1**3 + 3.0 * b2 * s1 * s2 + b1 * s3
+        s4, b4 = next(s), next(b)
+        yield (
+            b4 * s1**4
+            + 6.0 * b3 * s1 * s1 * s2
+            + 3.0 * b2 * s2 * s2
+            + 4.0 * b2 * s1 * s3
+            + b1 * s4
+        )
 
-    def phi(r):
-        return b0(s(r))
-
-    def d1(r):
-        q = s(r)
-        return b1(q) * (r / q)
-
-    def d2(r):
-        q = s(r)
-        return b2(q) * (r / q) ** 2 + b1(q) * c2 / q**3
-
-    d3 = d4 = None
-    if b3 is not None and b4 is not None:
-        # Faa di Bruno through s(r); s', s'', s''', s'''' match the MQ derivatives.
-        def d3(r):
-            q = s(r)
-            s1, s2, s3 = r / q, c2 / q**3, -3.0 * c2 * r / q**5
-            return b3(q) * s1**3 + 3.0 * b2(q) * s1 * s2 + b1(q) * s3
-
-        def d4(r):
-            q = s(r)
-            s1, s2 = r / q, c2 / q**3
-            s3 = -3.0 * c2 * r / q**5
-            s4 = -3.0 * c2 * (q * q - 5.0 * r * r) / q**7
-            return (
-                b4(q) * s1**4
-                + 6.0 * b3(q) * s1 * s1 * s2
-                + 3.0 * b2(q) * s2 * s2
-                + 4.0 * b2(q) * s1 * s3
-                + b1(q) * s4
-            )
-
-    return RadialKernel(
-        "substituted",
-        probe_singular_at_origin(phi),
-        c=c,
-        k=kernel.k,
-        omega=kernel.omega,
-        label=label,
-        derivs=(phi, d1, d2, d3, d4),
+    return _composite(
+        "substituted", radial, c=c, k=kernel.k, omega=kernel.omega, label=label, top_order=top
     )
 
 
@@ -489,34 +442,25 @@ def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
     if m == 0:
         return replace(base, family="augmented", m=0, label=label)
 
-    b0, b1, b2 = base.derivs[0], base.derivs[1], base.derivs[2]
     p = 2 * m
 
-    def phi(r):
-        return _where0(r, 0.0, lambda q: q**p * b0(q))
-
-    def d1(r):
-        return _where0(r, 0.0, lambda q: p * q ** (p - 1) * b0(q) + q**p * b1(q))
-
-    def d2(r):
+    def radial(r):
+        nz = r > 0.0
+        q = r[nz]
+        b = base.radial(q)
+        b0 = next(b)
+        yield _piecewise(nz, q**p * b0, 0.0)
+        b1 = next(b)
+        yield _piecewise(nz, p * q ** (p - 1) * b0 + q**p * b1, 0.0)
         # no finite limit for m = 1 over log-type bases; 0 is a convention
-        return _where0(
-            r,
+        yield _piecewise(
+            nz,
+            p * (p - 1) * q ** (p - 2) * b0 + 2.0 * p * q ** (p - 1) * b1 + q**p * next(b),
             0.0,
-            lambda q: p * (p - 1) * q ** (p - 2) * b0(q)
-            + 2.0 * p * q ** (p - 1) * b1(q)
-            + q**p * b2(q),
         )
 
-    return RadialKernel(
-        "augmented",
-        probe_singular_at_origin(phi),
-        c=base.c,
-        k=base.k,
-        omega=base.omega,
-        m=m,
-        label=label,
-        derivs=(phi, d1, d2, None, None),
+    return _composite(
+        "augmented", radial, c=base.c, k=base.k, omega=base.omega, m=m, label=label
     )
 
 
@@ -547,33 +491,23 @@ def higher_order_solution(operator, order: int) -> RadialKernel:
 
 def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
-
-    def phi(r):
-        return _where0(r, 0.0, lambda q: a * q**m * special.jv(m, k * q))
-
-    def d1(r):
-        return _where0(r, 0.0, lambda q: a * k * q**m * special.jv(m - 1, k * q))
-
     d2_limit = a * k if m == 1 else 0.0
 
-    def d2(r):
-        return _where0(
-            r,
+    def radial(r):
+        nz = r > 0.0
+        q = r[nz]
+        qm = q**m
+        yield _piecewise(nz, a * qm * special.jv(m, k * q), 0.0)
+        jm1 = special.jv(m - 1, k * q)
+        yield _piecewise(nz, a * k * qm * jm1, 0.0)
+        yield _piecewise(
+            nz,
+            a * (k * q ** (m - 1) * jm1 + k * k * qm * special.jv(m - 2, k * q)),
             d2_limit,
-            lambda q: a
-            * (
-                k * q ** (m - 1) * special.jv(m - 1, k * q)
-                + k * k * q**m * special.jv(m - 2, k * q)
-            ),
         )
 
     return RadialKernel(
-        "higher_order",
-        False,
-        k=k,
-        order=m,
-        label=f"helmholtz_gs_2d^({m})",
-        derivs=(phi, d1, d2, None, None),
+        "higher_order", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"
     )
 
 
@@ -588,29 +522,19 @@ def _laplace_chain_kernel(m: int) -> RadialKernel:
     A, B = _laplace_chain_coeffs(m)
     p = 2 * m
 
-    def phi(r):
-        return _where0(r, 0.0, lambda q: q**p * (A * np.log(q) + B))
-
-    def d1(r):
-        return _where0(
-            r, 0.0, lambda q: q ** (p - 1) * (p * A * np.log(q) + A + p * B)
-        )
-
-    def d2(r):
-        return _where0(
-            r,
+    def radial(r):
+        nz = r > 0.0
+        q = r[nz]
+        log = np.log(q)
+        yield _piecewise(nz, q**p * (A * log + B), 0.0)
+        yield _piecewise(nz, q ** (p - 1) * (p * A * log + A + p * B), 0.0)
+        yield _piecewise(
+            nz,
+            q ** (p - 2) * (p * (p - 1) * A * log + (2 * p - 1) * A + p * (p - 1) * B),
             0.0,
-            lambda q: q ** (p - 2)
-            * (p * (p - 1) * A * np.log(q) + (2 * p - 1) * A + p * (p - 1) * B),
         )
 
-    return RadialKernel(
-        "higher_order",
-        False,
-        order=m,
-        label=f"laplace_fs_2d^({m})",
-        derivs=(phi, d1, d2, None, None),
-    )
+    return RadialKernel("higher_order", False, radial, order=m, label=f"laplace_fs_2d^({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +551,7 @@ def check_regulation(kernel: RadialKernel) -> bool:
     Samples |phi'| on a shrinking ladder of radii; passes when every
     sample stays under a fixed cap and no step grows by more than 10x.
     """
-    vals = np.array([abs(kernel.d1(r)) for r in REGULATION_RADII])
+    vals = np.abs(kernel.derivs_upto(REGULATION_RADII, 1)[1])
     if np.any(vals > REGULATION_CAP):
         return False
     for prev, nxt in zip(vals[:-1], vals[1:]):

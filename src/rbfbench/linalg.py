@@ -45,11 +45,14 @@ def factor(A: np.ndarray, what: str, limit: Optional[float] = None) -> Factor:
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ConditioningError(f"{what} matrix has non-finite entries", np.inf)
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (A,))
+    getrf, gecon, lange = get_lapack_funcs(("getrf", "gecon", "lange"), (A,))
+    # the 1-norm of A is the max-row-sum norm of A.T, which is Fortran-ordered
+    # for a C-ordered A, so LAPACK reads it in place without an n x n temporary
+    anorm = lange("I", A.T)
     lu, piv, info = getrf(A)
     if info > 0:
         raise ConditioningError(f"{what} matrix is singular", np.inf)
-    rcond, _ = gecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
+    rcond, _ = gecon(lu, anorm, norm="1")
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if not np.isfinite(cond):
         raise ConditioningError(f"{what} matrix is singular", cond)

@@ -148,115 +148,121 @@ class _Pairs:
         return np.where(self.z, 1.0, self.r)
 
 
-def _value_value(op, kernel, g, nx, ny):
-    return kernel.phi(g.r)
+# Each block formula reads `f`, the kernel's radial derivatives at the
+# pair radii (phi, phi', ... up to the order `_FORMULAS` lists), and `f0`,
+# the same derivatives at r = 0 when the block has coincident pairs (None
+# otherwise).
 
 
-def _normal_value(op, kernel, g, nx, ny):
+def _value_value(op, g, f, f0, nx, ny):
+    return f[0]
+
+
+def _normal_value(op, g, f, f0, nx, ny):
     # directional derivative at the field point: phi'(r) (d.n_i)/r
     proj = np.einsum("ijk,ik->ij", g.d, nx)
-    out = kernel.d1(g.rs) * proj / g.rs
+    out = f[1] * proj / g.rs
     out[g.z] = 0.0
     return out
 
 
-def _value_normal(op, kernel, g, nx, ny):
+def _value_normal(op, g, f, f0, nx, ny):
     # directional derivative at the source point: -phi'(r) (d.n_j)/r
     proj = np.einsum("ijk,jk->ij", g.d, ny)
-    out = -kernel.d1(g.rs) * proj / g.rs
+    out = -f[1] * proj / g.rs
     out[g.z] = 0.0
     return out
 
 
-def _normal_normal(op, kernel, g, nx, ny):
+def _normal_normal(op, g, f, f0, nx, ny):
     # field-normal derivative of the source-normal derivative; symmetric
     # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
     rs, z = g.rs, g.z
     px = np.einsum("ijk,ik->ij", g.d, nx)
     py = np.einsum("ijk,jk->ij", g.d, ny)
     nn = nx @ ny.T
-    d1, d2 = kernel.d1(rs), kernel.d2(rs)
+    _, d1, d2 = f
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
-    if np.any(z):
-        out[z] = (-kernel.d2(0.0) * nn)[z]
+    if f0 is not None:
+        out[z] = (-f0[2] * nn)[z]
     return out
 
 
-def _op_value(op, kernel, g, nx, ny):
+def _op_value(op, g, f, f0, nx, ny):
     # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r
     rs, z = g.rs, g.z
-    d1, d2 = kernel.d1(rs), kernel.d2(rs)
+    phi, d1, d2 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    out = D * (d2 + d1 / rs) + gamma * kernel.phi(rs)
+    out = D * (d2 + d1 / rs) + gamma * phi
     if np.any(v):
         out -= d1 * (g.d @ v) / rs
-    if np.any(z):
-        out[z] = 2.0 * D * kernel.d2(0.0) + gamma * kernel.phi(0.0)
+    if f0 is not None:
+        out[z] = 2.0 * D * f0[2] + gamma * f0[0]
     return out
 
 
-def _value_adjoint(op, kernel, g, nx, ny):
+def _value_adjoint(op, g, f, f0, nx, ny):
     # the adjoint-image trial function L* phi, valued at the field point
-    return _op_value(adjoint_of(op), kernel, g, nx, ny)
+    return _op_value(adjoint_of(op), g, f, f0, nx, ny)
 
 
-def _lap_derivative(kernel: RadialKernel, rs: np.ndarray) -> np.ndarray:
+def _lap_derivative(f, rs: np.ndarray) -> np.ndarray:
     # radial derivative of Lap(phi): phi''' + phi''/r - phi'/r^2
-    return kernel.d3(rs) + kernel.d2(rs) / rs - kernel.d1(rs) / rs**2
+    return f[3] + f[2] / rs - f[1] / rs**2
 
 
-def _op_normal(op, kernel, g, nx, ny):
+def _op_normal(op, g, f, f0, nx, ny):
     # L (field) applied to the source-normal column
     d, rs, z = g.d, g.rs, g.z
-    d1, d2 = kernel.d1(rs), kernel.d2(rs)
+    d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     py = np.einsum("ijk,jk->ij", d, ny)
-    out = -(D * _lap_derivative(kernel, rs) + gamma * d1) * py / rs
+    out = -(D * _lap_derivative(f, rs) + gamma * d1) * py / rs
     if np.any(v):
         vd = d @ v
         vn = np.broadcast_to(ny @ v, out.shape)
         out += d2 * py * vd / rs**2 + d1 * (vn / rs - py * vd / rs**3)
-    if np.any(z):
+    if f0 is not None:
         vn = np.broadcast_to(ny @ v, out.shape)
-        out[z] = (kernel.d2(0.0) * vn)[z]
+        out[z] = (f0[2] * vn)[z]
     return out
 
 
-def _normal_adjoint(op, kernel, g, nx, ny):
+def _normal_adjoint(op, g, f, f0, nx, ny):
     # field-normal derivative of the L* image
     d, rs, z = g.d, g.rs, g.z
-    d1, d2 = kernel.d1(rs), kernel.d2(rs)
+    d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     px = np.einsum("ijk,ik->ij", d, nx)
-    out = (D * _lap_derivative(kernel, rs) + gamma * d1) * px / rs
+    out = (D * _lap_derivative(f, rs) + gamma * d1) * px / rs
     if np.any(v):
         vd = d @ v
         vn = np.broadcast_to((nx @ v)[:, None], out.shape)
         out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
-    if np.any(z):
+    if f0 is not None:
         vn = np.broadcast_to((nx @ v)[:, None], out.shape)
-        out[z] = (kernel.d2(0.0) * vn)[z]
+        out[z] = (f0[2] * vn)[z]
     return out
 
 
-def _op_adjoint(op, kernel, g, nx, ny):
+def _op_adjoint(op, g, f, f0, nx, ny):
     # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2
     d, rs, z = g.d, g.rs, g.z
-    d1, d2, d3, d4 = kernel.d1(rs), kernel.d2(rs), kernel.d3(rs), kernel.d4(rs)
+    phi, d1, d2, d3, d4 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     bilap = d4 + 2.0 * d3 / rs - d2 / rs**2 + d1 / rs**3
     lap = d2 + d1 / rs
-    out = D * D * bilap + 2.0 * gamma * D * lap + gamma * gamma * kernel.phi(rs)
+    out = D * D * bilap + 2.0 * gamma * D * lap + gamma * gamma * phi
     if np.any(v):
         vd = d @ v
         vv = float(v @ v)
         out -= d2 * vd**2 / rs**2 + d1 * (vv / rs - vd**2 / rs**3)
-    if np.any(z):
+    if f0 is not None:
         out[z] = (
-            D * D * (8.0 / 3.0) * kernel.d4(0.0)
-            + 4.0 * gamma * D * kernel.d2(0.0)
-            + gamma * gamma * kernel.phi(0.0)
-            - kernel.d2(0.0) * float(v @ v)
+            D * D * (8.0 / 3.0) * f0[4]
+            + 4.0 * gamma * D * f0[2]
+            + gamma * gamma * f0[0]
+            - f0[2] * float(v @ v)
         )
     return out
 
@@ -287,14 +293,25 @@ def _group(group, kinds):
     return kind, arrays[0], arrays[1] if kind == "normal" else None
 
 
-def _block(op, kernel, row, col) -> np.ndarray:
+def _block(op, kernel, row, col, shared: dict) -> np.ndarray:
     (rk, X, nx), (ck, Y, ny) = row, col
     if not (len(X) and len(Y)):
         return np.empty((len(X), len(Y)))
     formula, order = _FORMULAS[rk, ck]
     if order > 2:
-        _require_fourth_order(kernel, third_only=order == 3)
-    return formula(op, kernel, _Pairs(kernel, X, Y, f"{rk} rows x {ck} columns"), nx, ny)
+        _require_fourth_order(kernel, order)
+    g = _Pairs(kernel, X, Y, f"{rk} rows x {ck} columns")
+    f = shared.pop((id(Y), id(X), order), None)
+    if f is not None:
+        f = tuple(a.T for a in f)
+    else:
+        # plain values are exact at any separation; derivatives are read at
+        # the safe radii, whose coincident entries the formulas overwrite
+        f = kernel.derivs_upto(g.rs if order else g.r, order)
+        if (id(X), id(Y), order) in shared:
+            shared[id(X), id(Y), order] = f
+    f0 = kernel.derivs_upto(0.0, order) if order and np.any(g.z) else None
+    return formula(op, g, f, f0, nx, ny)
 
 
 def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:
@@ -310,7 +327,12 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
     """
     rows = [_group(g, ROW_KINDS) for g in rows]
     cols = [_group(g, COLUMN_KINDS) for g in cols]
-    blocks = [[_block(op, kernel, row, col) for col in cols] for row in rows]
+    # The radii of Y against X are those of X against Y transposed, bit for
+    # bit, so of two transposed blocks of equal derivative order the first
+    # one built leaves its kernel derivatives in `shared` for the second.
+    keys = {(id(X), id(Y), _FORMULAS[rk, ck][1]) for rk, X, _ in rows for ck, Y, _ in cols}
+    shared = {k: None for k in keys if k[0] != k[1] and (k[1], k[0], k[2]) in keys}
+    blocks = [[_block(op, kernel, row, col, shared) for col in cols] for row in rows]
     if len(rows) == len(cols) == 1:
         return blocks[0][0]  # a lone block is returned as it is, not copied
     # the output is allocated after the blocks: allocating it first made
@@ -376,14 +398,14 @@ def ll_star_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
     return collocation_matrix(op, kernel, [("op", X)], [("adjoint", Y)])
 
 
-def _require_fourth_order(kernel: RadialKernel, third_only: bool = False):
-    need = "third" if third_only else "third and fourth"
-    if not kernel.has_fourth_order:
+def _require_fourth_order(kernel: RadialKernel, order: int):
+    if kernel.top_order < order:
+        need = "third" if order == 3 else "third and fourth"
         raise KernelSmoothnessError(
             f"kernel {kernel.name} lacks the {need} radial derivatives "
             "needed by fourth-order schemes"
         )
-    if abs(kernel.d1(0.0)) > 1e-12:
+    if abs(kernel.derivs_upto(0.0, 1)[1]) > 1e-12:
         raise KernelSmoothnessError(
             f"kernel {kernel.name} has a kink at the origin (phi'(0) != 0)"
         )
@@ -412,7 +434,7 @@ def normal_derivative(kernel: RadialKernel, x, x_s, n, side: str = "field") -> f
     r = float(np.linalg.norm(d))
     if r == 0.0:
         raise SingularityError("normal derivative undefined at zero separation")
-    fieldval = kernel.d1(r) * float(d @ n) / r
+    fieldval = kernel.derivs_upto(r, 1)[1] * float(d @ n) / r
     if side == "field":
         return fieldval
     if side == "source":
@@ -440,7 +462,7 @@ def homogeneous_residual(op: OperatorSpec, kernel: RadialKernel, radii=(0.5, 1.0
     """Max |L{phi}| over sample radii, normalized by max(1, |phi|)."""
     worst = 0.0
     for r in radii:
-        lap = kernel.d2(r) + kernel.d1(r) / r
-        val = op.diff_coeff * lap + op.reaction * kernel.phi(r)
-        worst = max(worst, abs(val) / max(1.0, abs(kernel.phi(r))))
+        phi, d1, d2 = kernel.derivs_upto(r, 2)
+        val = op.diff_coeff * (d2 + d1 / r) + op.reaction * phi
+        worst = max(worst, abs(val) / max(1.0, abs(phi)))
     return worst

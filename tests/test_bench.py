@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from pathlib import Path
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from rbfbench.bench import (
     CSV_HEADER,
@@ -133,10 +135,30 @@ def test_unknown_kernel_parameter_rejected():
         BenchConfig.from_dict({**SMALL, "kernels": [{"family": "mq", "cc": 1}]})
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.8"])
-def test_malformed_kernel_parameter_rejected(bad):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"family": "mq", "c": float("nan")}, id="nan"),
+        pytest.param({"family": "mq", "c": float("inf")}, id="inf"),
+        pytest.param({"family": "mq", "c": "0.8"}, id="0.8"),
+        pytest.param({"family": "mq", "c": -1}, id="mq-c=-1"),
+        pytest.param({"family": "imq", "c": 0}, id="imq-c=0"),
+        pytest.param({"family": "gaussian", "c": 0}, id="gaussian-c=0"),
+        pytest.param({"family": "exp_decay", "omega": -2}, id="exp_decay-omega=-2"),
+        pytest.param({"family": "helmholtz_gs_2d", "k": 0}, id="helmholtz_gs_2d-k=0"),
+    ],
+)
+def test_malformed_kernel_parameter_rejected(monkeypatch, spec):
+    from rbfbench import bench
+
+    cfg = {**SMALL, "kernels": [spec]}
     with pytest.raises(ConfigError, match="finite number"):
-        BenchConfig.from_dict({**SMALL, "kernels": [{"family": "mq", "c": bad}]})
+        BenchConfig.from_dict(cfg)
+    calls = []
+    monkeypatch.setattr(bench, "_single_run", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="finite number"):
+        run_benchmark(cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
@@ -157,11 +179,52 @@ def test_timing_accepts_only_booleans(flag):
         ("n_boundary", 3),
         ("n_boundary", [16, 2]),
         ("bpm_order", 0),
+        ("seed", -3),
     ],
 )
 def test_non_integer_counts_rejected(key, bad):
     with pytest.raises(ConfigError, match=key):
         BenchConfig.from_dict({**SMALL, key: bad})
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("problems", 5), ("methods", "bkm"), ("kernels", 3), ("problems", [["x"]])],
+    ids=["problems-int", "methods-str", "kernels-int", "problems-nested"],
+)
+def test_config_lists_rejected(key, bad):
+    with pytest.raises(ConfigError, match=key[:-1]):
+        BenchConfig.from_dict({**SMALL, key: bad})
+
+
+_KNOWN_KEYS = (
+    "problems", "methods", "kernels", "n_boundary", "n_interior", "seed", "bpm_order", "timing"
+)
+_NAMES = (
+    "family", "c", "k", "omega", "mq", "gaussian", "helmholtz_gs_2d", "helmholtz_disk", "bkm"
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(_NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(_NAMES), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KNOWN_KEYS), _JSON))
+def test_config_parses_or_raises_config_error(raw):
+    # any JSON-like value under the known keys is a config or a ConfigError
+    try:
+        cfg = BenchConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, BenchConfig)
 
 
 @pytest.mark.parametrize(

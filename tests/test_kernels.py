@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from rbfbench.kernels import (
 from rbfbench.operators import helmholtz, laplace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
 
 #: one representative parameterization per catalog family
 KERNELS = {
@@ -63,13 +65,32 @@ def test_derivatives_match_finite_differences(family):
         assert kern.d2(r) == pytest.approx(fd2, rel=1e-5, abs=1e-10)
 
 
-@pytest.mark.parametrize("family", ["mq", "imq", "gaussian", "helmholtz_gs_2d"])
-def test_higher_derivatives_match_finite_differences(family):
-    kern = _kernel(family)
+@pytest.mark.parametrize(
+    "kern",
+    [pytest.param(_kernel(f), id=f) for f in ("mq", "imq", "gaussian", "helmholtz_gs_2d")]
+    + [pytest.param(shape_substitute(build_kernel("gaussian"), 0.5), id="gaussian+shift")],
+)
+def test_higher_derivatives_match_finite_differences(kern):
     assert kern.has_fourth_order
     for r in (0.1, 0.5, 1.0, 2.0):
         assert kern.d3(r) == pytest.approx(central_d1(kern.d2, r, h=1e-6), rel=1e-5, abs=1e-9)
         assert kern.d4(r) == pytest.approx(central_d1(kern.d3, r, h=1e-6), rel=1e-5, abs=1e-9)
+
+
+def test_derivatives_read_only_through_derivs_upto():
+    # outside the kernel module every derivative read is one derivs_upto
+    # call for all the orders it needs, not one call per order
+    pattern = re.compile(r"\.(phi|d[1-4]|deriv)\(")
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "kernels.py" in modules and SRC / "operators.py" in modules
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in modules
+        if path.name != "kernels.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 def test_eval_with_derivatives_triple():

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from conftest import fd_operator_2d, nested_normal_fd
 from rbfbench.errors import KernelSmoothnessError, ParameterError, SingularityError
-from rbfbench.kernels import RadialKernel, build_kernel
+from rbfbench.kernels import RadialKernel, build_kernel, higher_order_solution
 from rbfbench.operators import (
     OperatorSpec,
     adjoint_image_matrix,
@@ -28,17 +28,14 @@ from rbfbench.operators import (
 
 def quadratic_kernel() -> RadialKernel:
     """phi(r) = r^2, handy because Lap(r^2) = 4 in 2D."""
-    return RadialKernel(
-        "quadratic",
-        False,
-        derivs=(
-            lambda r: r * r,
-            lambda r: 2.0 * r,
-            lambda r: np.full(r.shape, 2.0),
-            lambda r: np.zeros(r.shape),
-            lambda r: np.zeros(r.shape),
-        ),
-    )
+    def radial(r):
+        yield r * r
+        yield 2.0 * r
+        yield np.full(r.shape, 2.0)
+        yield np.zeros(r.shape)
+        yield np.zeros(r.shape)
+
+    return RadialKernel("quadratic", False, radial, top_order=4)
 
 
 def test_operator_parameter_validation():
@@ -357,6 +354,34 @@ def test_collocation_matrix_stacks_the_block_builders():
     assert np.array_equal(A[7:, 9:], adjoint_normal_image_matrix(op, kern, X, Y, n))
     assert np.array_equal(A[:5, 4:9], operator_source_normal_matrix(op, kern, X, X, n))
     assert np.array_equal(A[5:7, :4], kernel_value_matrix(kern, X[:2], Y))
+
+
+@pytest.mark.parametrize(
+    "kern",
+    [build_kernel("gaussian", c=0.9), higher_order_solution(helmholtz(1.3), 2)],
+    ids=["gaussian", "helmholtz_chain_2"],
+)
+def test_transposed_blocks_match_single_block_builds(kern):
+    # the second of two transposed blocks reads the first one's kernel
+    # derivatives; it must equal the block built on its own, bit for bit
+    from rbfbench.operators import (
+        collocation_matrix,
+        field_normal_matrix,
+        kernel_value_matrix,
+        mixed_normal_matrix,
+        source_normal_matrix,
+    )
+
+    rng = np.random.default_rng(5)
+    X, Y = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (4, 2))
+    theta = rng.uniform(0, 2 * np.pi, 4)
+    n = np.column_stack([np.cos(theta), np.sin(theta)])
+    groups = [("value", X), ("normal", Y, n)]
+    A = collocation_matrix(None, kern, groups, groups)
+    assert np.array_equal(A[:6, :6], kernel_value_matrix(kern, X, X))
+    assert np.array_equal(A[:6, 6:], source_normal_matrix(kern, X, Y, n))
+    assert np.array_equal(A[6:, :6], field_normal_matrix(kern, Y, X, n))
+    assert np.array_equal(A[6:, 6:], mixed_normal_matrix(kern, Y, Y, n, n))
 
 
 def test_collocation_matrix_rejects_unknown_groups():
