@@ -1,7 +1,6 @@
 """Meshfree RBF collocation solvers and a benchmark harness."""
 
 from .bkm import (
-    BkmSolution,
     BoundaryData,
     RecoveredTraces,
     assemble_symmetric_system,
@@ -30,7 +29,9 @@ from .kernels import (
 from .lsq import OverdeterminedSystem, assemble_overdetermined, solve_least_squares
 from .mkm import MkmSystem, SolutionField, assemble_mkm, solve_kansa_baseline, solve_mkm
 from .operators import (
+    Expansion,
     OperatorSpec,
+    Term,
     adjoint_of,
     apply_radial_operator,
     collocation_matrix,

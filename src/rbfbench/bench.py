@@ -36,7 +36,7 @@ from .kernels import (
     default_shape_parameter,
     higher_order_solution,
 )
-from .operators import OperatorSpec, kernel_value_matrix
+from .operators import Expansion, OperatorSpec, Term, kernel_value_matrix
 from .problems import PROBLEM_NAMES, BenchmarkProblem, check_consistency, get_problem
 
 CSV_HEADER = (
@@ -256,20 +256,26 @@ def _check_kernel_spec(spec) -> None:
             raise ConfigError(str(exc)) from None
 
 
-def _resolve_kernel(spec, op: Optional[OperatorSpec], nodes: NodeSet) -> RadialKernel:
-    spec = dict(spec) if isinstance(spec, dict) else {"family": spec}
-    family = spec.pop("family")
-    takes = FAMILY_PARAMETERS[family]
-    if "c" in takes and "c" not in spec:
-        spec["c"] = default_shape_parameter(nodes.all_points())
-    if "k" in takes and "k" not in spec:
-        if op is not None and op.k > 0:
-            spec["k"] = op.k
-        else:
+def _kernel_parameters(spec, op: Optional[OperatorSpec]) -> tuple:
+    """(family, parameters) of a kernel spec; a wavenumber the spec does not
+    give is the operator's, and a ConfigError when the operator has none."""
+    params = dict(spec) if isinstance(spec, dict) else {"family": spec}
+    family = params.pop("family")
+    if "k" in FAMILY_PARAMETERS[family] and "k" not in params:
+        if op is None or op.k <= 0:
             raise ConfigError(f"kernel {family!r} needs a wavenumber k")
-    if "omega" in takes and "omega" not in spec:
-        spec["omega"] = 1.0
-    return build_kernel(family, **spec)
+        params["k"] = op.k
+    return family, params
+
+
+def _resolve_kernel(spec, op: Optional[OperatorSpec], nodes: NodeSet) -> RadialKernel:
+    family, params = _kernel_parameters(spec, op)
+    takes = FAMILY_PARAMETERS[family]
+    if "c" in takes and "c" not in params:
+        params["c"] = default_shape_parameter(nodes.all_points())
+    if "omega" in takes and "omega" not in params:
+        params["omega"] = 1.0
+    return build_kernel(family, **params)
 
 
 def _general_solution_for(op: OperatorSpec) -> RadialKernel:
@@ -375,11 +381,8 @@ def _run_method(
                 src, field_nodes, problem.operator, field_bc, fcall, phi
             )
         result = lsq.solve_least_squares(system, method="orthogonal")
-
-        def evaluate(p):
-            return kernel_value_matrix(phi, p, src) @ result.beta
-
-        return RunOutcome(evaluate, result.cond_est, phi.name, phi.c or None)
+        sol = Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
+        return RunOutcome(sol.evaluate, sol.cond_est, phi.name, phi.c or None)
 
     raise ConfigError(f"unknown method {method!r}")
 
@@ -467,8 +470,9 @@ def _single_run(
 def _sweep(config, counts=None):
     """Run every configured combination over the boundary-node counts.
 
-    Coerces `config` (a BenchConfig, a dict or a JSON path) and resolves
-    every problem name before the first solve, then yields one
+    Coerces `config` (a BenchConfig, a dict or a JSON path), resolves
+    every problem name and checks that each kernel has a wavenumber where
+    it needs one, all before the first solve; then yields one
     (label, rows, errors) per problem/method/kernel combination, running
     `counts` (default: the config's n_boundary list) in order. Methods a
     problem does not support are skipped; solver failures become error
@@ -483,6 +487,10 @@ def _sweep(config, counts=None):
     problems = [get_problem(name) for name in cfg.problems]
     for problem in problems:
         check_consistency(problem)
+        # every method but bpm (which uses its own kernel chain) resolves the kernels
+        if any(m in problem.methods for m in cfg.methods if m != "bpm"):
+            for spec in cfg.kernels:
+                _kernel_parameters(spec, problem.operator)
 
     for problem in problems:
         for method in cfg.methods:

@@ -20,7 +20,7 @@ from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import factor
-from .operators import OperatorSpec, collocation_matrix, homogeneous_residual
+from .operators import Expansion, OperatorSpec, Term, collocation_matrix, homogeneous_residual
 
 #: solves refuse matrices beyond this condition estimate
 CONDITION_LIMIT = 1e14
@@ -86,26 +86,9 @@ def _complementary_groups(nodes: NodeSet) -> list:
     ]
 
 
-@dataclass
-class ParticularFit:
-    """RBF fit of the source term: coefficients and evaluators."""
-
-    alpha: np.ndarray
-    centers: np.ndarray
-    kernel: RadialKernel
-    cond_est: float
-
-    def traces(self, rows) -> np.ndarray:
-        """The fitted expansion under the collocation row groups `rows`."""
-        return collocation_matrix(None, self.kernel, rows, [("value", self.centers)]) @ self.alpha
-
-    def value(self, points) -> np.ndarray:
-        return self.traces([("value", points)])
-
-
 def fit_particular(
     nodes: NodeSet, f_samples, op: OperatorSpec, phi: RadialKernel
-) -> ParticularFit:
+) -> Expansion:
     """Fit coefficients so the kernel expansion satisfies L{u_p} = f at all nodes.
 
     The interpolation matrix carries L{phi} entries; the fitted expansion
@@ -121,7 +104,7 @@ def fit_particular(
         "particular-solution fit",
         limit=CONDITION_LIMIT,
     )
-    return ParticularFit(alpha=fit.solve(f), centers=centers, kernel=phi, cond_est=fit.cond_est)
+    return Expansion([Term(op, phi, [("value", centers)], fit.solve(f))], fit.cond_est)
 
 
 def hermite_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
@@ -154,39 +137,8 @@ def assemble_symmetric_system(
     return hermite_trace_matrix(nodes, u_sharp)
 
 
-@dataclass
-class BkmSolution:
-    """Expansion coefficients plus evaluators over the closed domain."""
-
-    alpha: np.ndarray
-    lam: np.ndarray
-    phi: Optional[RadialKernel]
-    u_sharp: RadialKernel
-    nodes: NodeSet
-    particular: Optional[ParticularFit]
-    cond_est: float
-
-    def homogeneous_value(self, points) -> np.ndarray:
-        cols = boundary_groups(self.nodes)
-        return collocation_matrix(None, self.u_sharp, [("value", points)], cols) @ self.lam
-
-    def traces(self, rows) -> np.ndarray:
-        """The full field under the collocation row groups `rows`."""
-        cols = boundary_groups(self.nodes)
-        out = collocation_matrix(None, self.u_sharp, rows, cols) @ self.lam
-        if self.particular is not None:
-            out = out + self.particular.traces(rows)
-        return out
-
-    def evaluate(self, points) -> np.ndarray:
-        return self.traces([("value", points)])
-
-    def normal_derivative(self, points, normals) -> np.ndarray:
-        return self.traces([("normal", points, normals)])
-
-
 def boundary_rhs(
-    nodes: NodeSet, bc: BoundaryData, particular: Optional[ParticularFit] = None
+    nodes: NodeSet, bc: BoundaryData, particular: Optional[Expansion] = None
 ) -> np.ndarray:
     """Right-hand side for the symmetric system: boundary data minus
     particular-solution traces (value rows first, then normal rows)."""
@@ -198,7 +150,7 @@ def boundary_rhs(
 
 def _maybe_fit_particular(
     nodes: NodeSet, f_samples, op: OperatorSpec, phi: Optional[RadialKernel]
-) -> Optional[ParticularFit]:
+) -> Optional[Expansion]:
     # Homogeneous problems bypass the fit entirely; no interior nodes needed.
     if f_samples is None:
         return None
@@ -217,8 +169,8 @@ def solve_indirect(
     f_samples,
     phi: Optional[RadialKernel],
     u_sharp: RadialKernel,
-) -> BkmSolution:
-    """Boundary expansion coefficients; the solution evaluates anywhere."""
+) -> Expansion:
+    """The homogeneous boundary expansion, then the particular fit's terms."""
     bc.check_counts(nodes)
     particular = _maybe_fit_particular(nodes, f_samples, op, phi)
     A = assemble_symmetric_system(nodes, op, u_sharp)
@@ -226,20 +178,9 @@ def solve_indirect(
     # ill-conditioning is reported, not refused: boundary-knot matrices
     # routinely pass 1e16 while the collocated field stays accurate
     lu = factor(A, "boundary knot")
-    lam = lu.solve(rhs)
-
-    n_total = nodes.n_interior + nodes.n_boundary
-    alpha = particular.alpha if particular is not None else np.zeros(n_total)
-
-    return BkmSolution(
-        alpha=alpha,
-        lam=lam,
-        phi=phi,
-        u_sharp=u_sharp,
-        nodes=nodes,
-        particular=particular,
-        cond_est=lu.cond_est,
-    )
+    homogeneous = Term(op, u_sharp, boundary_groups(nodes), lu.solve(rhs))
+    terms = [homogeneous] + (particular.terms if particular is not None else [])
+    return Expansion(terms, lu.cond_est)
 
 
 def solve_direct(

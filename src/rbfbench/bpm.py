@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import Factor, factor
-from .operators import OperatorSpec, collocation_matrix
+from .operators import Expansion, OperatorSpec, Term
 
 #: step for the fallback central-difference gradient of source-term chains
 _FD_STEP = 1e-6
@@ -76,30 +76,21 @@ def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp_0: RadialKernel) -> Fac
     return factor(assemble_symmetric_system(nodes, op, u_sharp_0), "shared collocation")
 
 
-@dataclass
-class BpmSolution:
-    """Per-order expansion coefficients and the kernel chain they pair with."""
+class BpmSolution(Expansion):
+    """One Hermite expansion per order m, in the order-m chain kernel."""
 
-    beta_by_order: list
-    kernel_chain: list
-    nodes: NodeSet
-    cond_est: float
+    @property
+    def beta_by_order(self) -> list:
+        return [t.coefficients for t in self.terms]
 
     @property
     def order(self) -> int:
-        return len(self.beta_by_order) - 1
+        return len(self.terms) - 1
 
     @property
     def tail_magnitude(self) -> float:
         """Max-norm of the top-order coefficients; small means the series settled."""
-        return float(np.max(np.abs(self.beta_by_order[-1])))
-
-    def evaluate(self, points) -> np.ndarray:
-        rows, cols = [("value", points)], boundary_groups(self.nodes)
-        return sum(
-            collocation_matrix(None, kern, rows, cols) @ beta
-            for kern, beta in zip(self.kernel_chain, self.beta_by_order)
-        )
+        return float(np.max(np.abs(self.terms[-1].coefficients)))
 
 
 def solve_bpm(
@@ -149,9 +140,6 @@ def solve_bpm(
         rhs = rhs - trace[m] @ betas[m]
     betas[0] = q.solve(rhs)
 
-    return BpmSolution(
-        beta_by_order=betas,
-        kernel_chain=list(kernel_chain[: M + 1]),
-        nodes=nodes,
-        cond_est=q.cond_est,
-    )
+    cols = boundary_groups(nodes)
+    terms = [Term(problem.operator, kern, cols, beta) for kern, beta in zip(kernel_chain, betas)]
+    return BpmSolution(terms, q.cond_est)

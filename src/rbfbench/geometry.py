@@ -113,6 +113,10 @@ class NodeSet:
         return self.normals[self.neumann_idx]
 
 
+#: outward normals of the rectangle's edges, in boundary-parameter order
+_EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
 def _boundary_point(domain: DomainSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map parameters t in [0,1) to boundary points and outward normals."""
     t = np.asarray(t, dtype=float)
@@ -121,25 +125,14 @@ def _boundary_point(domain: DomainSpec, t: np.ndarray) -> tuple[np.ndarray, np.n
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         return pts, pts.copy()
 
+    # edges in parameter order: bottom left-to-right, right upward, top
+    # right-to-left, left downward
     w, h = domain.width, domain.height
-    perim = 2.0 * (w + h)
-    s = t * perim
-    pts = np.empty((len(s), 2))
-    nrm = np.empty((len(s), 2))
-    for i, si in enumerate(s):
-        if si < w:  # bottom, left-to-right
-            pts[i] = (si, 0.0)
-            nrm[i] = (0.0, -1.0)
-        elif si < w + h:  # right, upward
-            pts[i] = (w, si - w)
-            nrm[i] = (1.0, 0.0)
-        elif si < 2 * w + h:  # top, right-to-left
-            pts[i] = (w - (si - w - h), h)
-            nrm[i] = (0.0, 1.0)
-        else:  # left, downward
-            pts[i] = (0.0, h - (si - 2 * w - h))
-            nrm[i] = (-1.0, 0.0)
-    return pts, nrm
+    s = t * (2.0 * (w + h))
+    edge = np.searchsorted([w, w + h, 2 * w + h], s, side="right")
+    x = np.choose(edge, [s, w, w - (s - w - h), 0.0])
+    y = np.choose(edge, [0.0, s - w, h, h - (s - 2 * w - h)])
+    return np.column_stack([x, y]), _EDGE_NORMALS[edge]
 
 
 def _corner_params(domain: DomainSpec) -> np.ndarray:

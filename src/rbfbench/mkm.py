@@ -14,31 +14,21 @@ or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import Factor, factor
-from .operators import OperatorSpec, collocation_matrix
+from .operators import Expansion, OperatorSpec, Term, collocation_matrix
 from .bkm import BoundaryData, boundary_groups
 
 
 @dataclass
-class SolutionField:
-    """Solved expansion over its trial columns, with solve diagnostics."""
+class SolutionField(Expansion):
+    """Solved expansion with the max-norm residual of its system, relative to the data."""
 
-    coefficients: np.ndarray
-    cond_est: float
     residual_inf: float
-    op: Optional[OperatorSpec]
-    kernel: RadialKernel
-    columns: list  # collocation column groups the coefficients pair with
-
-    def evaluate(self, points) -> np.ndarray:
-        rows = [("value", points)]
-        return collocation_matrix(self.op, self.kernel, rows, self.columns) @ self.coefficients
 
 
 @dataclass
@@ -92,7 +82,7 @@ def _solved(A, rhs, lu: Factor, op, phi, columns) -> SolutionField:
     coeffs = lu.solve(rhs)
     scale = np.max(np.abs(rhs)) or 1.0
     residual = float(np.max(np.abs(A @ coeffs - rhs)) / scale)
-    return SolutionField(coeffs, lu.cond_est, residual, op, phi, columns)
+    return SolutionField([Term(op, phi, columns, coeffs)], lu.cond_est, residual)
 
 
 def solve_mkm(system: MkmSystem) -> SolutionField:

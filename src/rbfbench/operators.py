@@ -13,7 +13,9 @@ nine (row, column) pairs is one analytic block formula, up to L L*
 (which needs third and fourth radial derivatives). Coincident
 field/source pairs (r below 1e-8) are patched with the analytic limits;
 for smooth radial kernels the gradient at the origin is the zero vector
-and the Laplacian limit is 2*phi''(0).
+and the Laplacian limit is 2*phi''(0). Every solved field of every scheme
+is an `Expansion`, a sum of kernel expansions evaluated through the same
+function.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,6 +350,40 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
     return out
 
 
+class Term(NamedTuple):
+    """One kernel expansion: coefficients over the column groups `columns`."""
+
+    op: OperatorSpec | None
+    kernel: RadialKernel
+    columns: list
+    coefficients: np.ndarray
+
+
+@dataclass
+class Expansion:
+    """A solved field: the sum of its terms' kernel expansions.
+
+    `cond_est` is the condition estimate of the solve that produced the
+    coefficients.
+    """
+
+    terms: list
+    cond_est: float
+
+    def traces(self, rows) -> np.ndarray:
+        """The field under the collocation row groups `rows`."""
+        return sum(
+            collocation_matrix(t.op, t.kernel, rows, t.columns) @ t.coefficients
+            for t in self.terms
+        )
+
+    def evaluate(self, points) -> np.ndarray:
+        return self.traces([("value", points)])
+
+    def normal_derivative(self, points, normals) -> np.ndarray:
+        return self.traces([("normal", points, normals)])
+
+
 def kernel_value_matrix(kernel: RadialKernel, X, Y) -> np.ndarray:
     """phi(|x_i - y_j|)."""
     return collocation_matrix(None, kernel, [("value", X)], [("value", Y)])
@@ -405,9 +442,12 @@ def _require_fourth_order(kernel: RadialKernel, order: int):
             f"kernel {kernel.name} lacks the {need} radial derivatives "
             "needed by fourth-order schemes"
         )
-    if abs(kernel.derivs_upto(0.0, 1)[1]) > 1e-12:
+    # phi'(0) can be 0/0 (MQ with c = 0 is phi = r): not finite counts as a kink
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = kernel.derivs_upto(0.0, 1)[1]
+    if not math.isfinite(slope) or abs(slope) > 1e-12:
         raise KernelSmoothnessError(
-            f"kernel {kernel.name} has a kink at the origin (phi'(0) != 0)"
+            f"kernel {kernel.name} has a kink at the origin (phi'(0) = {slope:g})"
         )
 
 

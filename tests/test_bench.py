@@ -246,6 +246,46 @@ def test_unknown_problem_fails_before_any_solve(monkeypatch, entry):
     assert calls == []
 
 
+# helmholtz_disk's operator supplies k, so only the second problem lacks one
+NO_WAVENUMBER = {
+    **SMALL,
+    "problems": ["helmholtz_disk", "poisson_square"],
+    "methods": ["kansa"],
+    "kernels": [{"family": "helmholtz_gs_2d"}],
+}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cfg: run_benchmark(cfg),
+        lambda cfg: convergence_study(cfg, [16, 32, 64]),
+    ],
+    ids=["run_benchmark", "convergence_study"],
+)
+def test_missing_wavenumber_fails_before_any_solve(monkeypatch, entry):
+    from rbfbench import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "_single_run", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="needs a wavenumber"):
+        entry(NO_WAVENUMBER)
+    assert calls == []
+
+
+def test_cli_missing_wavenumber_is_config_error(tmp_path, capsys):
+    import json
+
+    from rbfbench.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NO_WAVENUMBER))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "needs a wavenumber" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_suite_covers_every_method():
     import time
 

@@ -34,8 +34,8 @@ def sample_bc(nodes, problem):
 def test_fit_zero_source_gives_zero_coefficients():
     nodes = generate_nodes(DISK, 8, 10, seed=1)
     fit = bkm.fit_particular(nodes, np.zeros(18), OP, build_kernel("mq", c=0.8))
-    assert np.all(fit.alpha == 0.0)
-    assert np.all(fit.value(np.array([[0.1, 0.2], [0.5, 0.0]])) == 0.0)
+    assert np.all(fit.terms[0].coefficients == 0.0)
+    assert np.all(fit.evaluate(np.array([[0.1, 0.2], [0.5, 0.0]])) == 0.0)
 
 
 def test_fit_reproduces_basis_column():
@@ -46,7 +46,7 @@ def test_fit_reproduces_basis_column():
     fit = bkm.fit_particular(nodes, A[:, 0], OP, phi)
     want = np.zeros(len(pts))
     want[0] = 1.0
-    assert np.allclose(fit.alpha, want, atol=1e-9)
+    assert np.allclose(fit.terms[0].coefficients, want, atol=1e-9)
 
 
 def test_fit_sine_source_small_probe_residual():
@@ -57,7 +57,8 @@ def test_fit_sine_source_small_probe_residual():
     phi = build_kernel("mq", c=0.8)
     fit = bkm.fit_particular(nodes, f(pts), OP, phi)
 
-    sys_resid = np.max(np.abs(operator_image_matrix(OP, phi, pts, pts) @ fit.alpha - f(pts)))
+    alpha = fit.terms[0].coefficients
+    sys_resid = np.max(np.abs(operator_image_matrix(OP, phi, pts, pts) @ alpha - f(pts)))
     assert fit.cond_est < 1e12
     assert sys_resid <= 1e-9 * np.max(np.abs(f(pts)))
 
@@ -65,13 +66,13 @@ def test_fit_sine_source_small_probe_residual():
     probes = rng.uniform(-0.6, 0.6, size=(20, 2))
     h = 1e-4
     lap = (
-        fit.value(probes + [h, 0])
-        + fit.value(probes - [h, 0])
-        + fit.value(probes + [0, h])
-        + fit.value(probes - [0, h])
-        - 4 * fit.value(probes)
+        fit.evaluate(probes + [h, 0])
+        + fit.evaluate(probes - [h, 0])
+        + fit.evaluate(probes + [0, h])
+        + fit.evaluate(probes - [0, h])
+        - 4 * fit.evaluate(probes)
     ) / h**2
-    resid = np.abs(lap + 4.0 * fit.value(probes) - f(probes))
+    resid = np.abs(lap + 4.0 * fit.evaluate(probes) - f(probes))
     assert np.max(resid) < 1e-2 * np.max(np.abs(f(pts)))
 
 
@@ -166,7 +167,7 @@ def test_zero_data_gives_zero_solution():
     nodes = mixed_nodes()
     bc = bkm.BoundaryData(np.zeros(8), np.zeros(8))
     sol = bkm.solve_indirect(nodes, OP, bc, None, None, U_SHARP)
-    assert np.all(sol.lam == 0.0)
+    assert np.all(sol.terms[0].coefficients == 0.0)
     assert np.all(sol.evaluate(np.array([[0.2, 0.1]])) == 0.0)
 
 
@@ -174,9 +175,8 @@ def test_homogeneous_solve_bypasses_particular_fit():
     nodes = mixed_nodes(n_boundary=16, n_interior=0)
     p = get_problem("helmholtz_disk")
     sol = bkm.solve_indirect(nodes, OP, sample_bc(nodes, p), np.zeros(16), None, U_SHARP)
-    assert sol.particular is None
-    assert np.all(sol.alpha == 0.0)
-    assert len(sol.alpha) == 16
+    assert len(sol.terms) == 1  # the homogeneous boundary expansion alone
+    assert len(sol.terms[0].coefficients) == 16
 
 
 def test_p1_accuracy_and_dirichlet_reproduction():

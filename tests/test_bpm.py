@@ -6,7 +6,7 @@ from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
 from rbfbench.errors import ConfigError
 from rbfbench.geometry import DomainSpec, generate_nodes, partition_boundary
 from rbfbench.kernels import build_kernel, higher_order_solution
-from rbfbench.operators import helmholtz
+from rbfbench.operators import Expansion, Term, helmholtz
 from rbfbench.problems import get_problem
 
 DISK = DomainSpec("unit_disk")
@@ -95,7 +95,7 @@ def test_degenerates_to_bkm_on_homogeneous_problem():
     )
     sol_bpm = bpm.solve_bpm(nodes, prob, chain_for(p.operator, 1))
 
-    assert np.allclose(sol_bpm.beta_by_order[0], sol_bkm.lam, atol=1e-14)
+    assert np.allclose(sol_bpm.beta_by_order[0], sol_bkm.terms[0].coefficients, atol=1e-14)
     rng = np.random.default_rng(3)
     probes = rng.uniform(-0.6, 0.6, size=(50, 2))
     dev = np.max(np.abs(sol_bkm.evaluate(probes) - sol_bpm.evaluate(probes)))
@@ -135,8 +135,7 @@ def test_zero_coefficients_evaluate_to_zero():
         operator=p.operator, bc=bc, f_chain=p.f_chain, order=2, f_grad_chain=p.f_grad_chain
     )
     sol = bpm.solve_bpm(nodes, prob, chain_for(p.operator, 2))
-    for n in range(3):
-        sol.beta_by_order[n] = np.zeros_like(sol.beta_by_order[n])
+    sol.terms = [t._replace(coefficients=np.zeros_like(t.coefficients)) for t in sol.terms]
     assert np.array_equal(sol.evaluate(np.array([[0.3, 0.2]])), [0.0])
 
 
@@ -147,12 +146,9 @@ def test_order_zero_evaluation_is_hermite_expansion():
     )
     sol = bpm.solve_bpm(nodes, prob, chain_for(p.operator, 1))
     u0 = build_kernel("helmholtz_gs_2d", k=2.0)
-    ref = bkm.BkmSolution(
-        alpha=np.zeros(16), lam=sol.beta_by_order[0], phi=None, u_sharp=u0,
-        nodes=nodes, particular=None, cond_est=1.0,
-    )
+    ref = Expansion([Term(None, u0, bkm.boundary_groups(nodes), sol.beta_by_order[0])], 1.0)
     pts = np.array([[0.1, 0.4], [-0.5, 0.2]])
-    assert np.allclose(sol.evaluate(pts), ref.homogeneous_value(pts), atol=1e-14)
+    assert np.allclose(sol.evaluate(pts), ref.evaluate(pts), atol=1e-14)
 
 
 def test_tail_magnitude_decreases_for_decaying_chain():

@@ -107,6 +107,14 @@ def test_rectangle_corners_never_collocated():
         assert dmin > 1e-6
 
 
+@pytest.mark.parametrize("n_boundary", [4, 5, 16, 37, 100])
+def test_rectangle_normals_match_outward_normal(n_boundary):
+    rect = DomainSpec("rectangle", 2.0, 0.5)
+    nodes = generate_nodes(rect, n_boundary, 0, seed=0)
+    for point, normal in zip(nodes.boundary, nodes.normals):
+        assert np.array_equal(normal, outward_normal(rect, point))
+
+
 def test_full_range_rule_gives_all_dirichlet():
     nodes = generate_nodes(DISK, 12, 0, seed=0)
     nodes = partition_boundary(nodes, [(0.0, 1.0)])

@@ -60,7 +60,7 @@ def test_zero_data_gives_zero_solution():
     )
     system = mkm.assemble_mkm(nodes, laplace(), bc, fs, build_kernel("mq", c=0.8))
     sol = mkm.solve_mkm(system)
-    assert np.allclose(sol.coefficients, 0.0, atol=1e-12)
+    assert np.allclose(sol.terms[0].coefficients, 0.0, atol=1e-12)
     assert np.allclose(sol.evaluate([[0.5, 0.5]]), 0.0, atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_kansa_zero_data_gives_zero():
         np.zeros(len(nodes.dirichlet_idx)), np.zeros(len(nodes.neumann_idx))
     )
     sol = mkm.solve_kansa_baseline(nodes, laplace(), bc, fs, build_kernel("mq", c=0.8))
-    assert np.allclose(sol.coefficients, 0.0, atol=1e-12)
+    assert np.allclose(sol.terms[0].coefficients, 0.0, atol=1e-12)
 
 
 def test_kansa_matrix_generally_unsymmetric():

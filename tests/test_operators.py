@@ -288,6 +288,8 @@ def test_fourth_order_schemes_reject_rough_kernels():
         ll_star_matrix(op, build_kernel("tps"), pts, pts)
     with pytest.raises(KernelSmoothnessError):
         ll_star_matrix(op, build_kernel("exp_decay", omega=1.0), pts, pts)
+    with pytest.raises(KernelSmoothnessError):
+        ll_star_matrix(op, build_kernel("mq", c=0), pts, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,21 @@ def test_solvers_build_blocks_only_through_collocation_matrix():
     # every solver block and evaluator comes from collocation_matrix; the
     # per-block builders are entry points for callers outside the library
     pattern = re.compile(r"\b(" + "|".join(BLOCK_BUILDERS) + r")\b")
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "operators.py" in modules
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in modules
+        if path.name != "operators.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+
+
+def test_only_operators_defines_field_evaluators():
+    # every solved field is an operators.Expansion, evaluated by its traces
+    pattern = re.compile(r"^\s*def (evaluate|traces)\b")
     modules = sorted(SRC.rglob("*.py"))
     assert SRC / "operators.py" in modules
     offenders = [
