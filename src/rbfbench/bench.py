@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .geometry import (
 from .kernels import (
     CATALOG,
     FAMILY_PARAMETERS,
+    MAX_CHAIN_ORDER,
     RadialKernel,
     build_kernel,
     check_parameter,
@@ -38,12 +39,6 @@ from .kernels import (
 )
 from .operators import Expansion, OperatorSpec, Term, kernel_value_matrix
 from .problems import PROBLEM_NAMES, BenchmarkProblem, check_consistency, get_problem
-
-CSV_HEADER = (
-    "method,kernel,operator,domain,n_boundary,n_interior,shape_param,"
-    "wavenumber,M_order,l2_rel_err,max_err,boundary_band_err,cond_est,"
-    "runtime_ms,seed"
-)
 
 METHOD_NAMES = ("bkm", "bkm_direct", "bpm", "mkm", "kansa", "lsq")
 
@@ -111,40 +106,29 @@ class ResultRow:
     ladder_idx: Optional[int] = None
 
     def to_csv(self, with_ladder: bool = False) -> str:
-        def num(x):
-            if x is None:
-                return ""
-            if isinstance(x, (int, np.integer)):
-                return str(int(x))
-            return repr(float(x))
+        cells = [getattr(self, f.name) for f in fields(self)]
+        return ",".join(_cell(x) for x in (cells if with_ladder else cells[:-1]))
 
-        fields = [
-            self.method,
-            self.kernel,
-            self.operator,
-            self.domain,
-            str(self.n_boundary),
-            str(self.n_interior),
-            num(self.shape_param),
-            num(self.wavenumber),
-            "" if self.M_order is None else str(self.M_order),
-            num(self.l2_rel_err),
-            num(self.max_err),
-            num(self.boundary_band_err),
-            num(self.cond_est),
-            num(self.runtime_ms),
-            str(self.seed),
-        ]
-        if with_ladder:
-            fields.append("" if self.ladder_idx is None else str(self.ladder_idx))
-        return ",".join(fields)
+
+def _cell(x) -> str:
+    """Empty for None, text as it is, integers in decimal, floats in repr form."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow)[:-1])
 
 
 @dataclass
 class BenchConfig:
     problems: list
     methods: list
-    kernels: list  # list of {"family": name, ...params}
+    kernels: list  # (family, parameters) pairs
     n_boundary: list  # one or more counts
     n_interior: int
     seed: int
@@ -153,18 +137,9 @@ class BenchConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "BenchConfig":
-        known = {
-            "problems",
-            "methods",
-            "kernels",
-            "n_boundary",
-            "n_interior",
-            "seed",
-            "bpm_order",
-            "timing",
-        }
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        known = {f.name for f in fields(BenchConfig)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -173,21 +148,19 @@ class BenchConfig:
         )
         methods = _names("method", raw.get("methods", list(METHOD_NAMES)), METHOD_NAMES)
         kernels = _list("kernels", raw.get("kernels", [{"family": "mq"}]))
-        for spec in kernels:
-            _check_kernel_spec(spec)
         nb = raw.get("n_boundary", 32)
-        n_boundary = [_count("n_boundary", n, 4) for n in (nb if isinstance(nb, list) else [nb])]
+        nb = _list("n_boundary", nb) if isinstance(nb, list) else [nb]
         timing = raw.get("timing", False)
         if not isinstance(timing, bool):
             raise ConfigError(f"timing must be true or false, got {timing!r}")
         return BenchConfig(
             problems=problems,
             methods=methods,
-            kernels=kernels,
-            n_boundary=n_boundary,
+            kernels=[_kernel_spec(spec) for spec in kernels],
+            n_boundary=[_count("n_boundary", n, 4) for n in nb],
             n_interior=_count("n_interior", raw.get("n_interior", 60), 0),
             seed=_count("seed", raw.get("seed", 7), 0),
-            bpm_order=_count("bpm_order", raw.get("bpm_order", 3), 1),
+            bpm_order=_count("bpm_order", raw.get("bpm_order", 3), 1, MAX_CHAIN_ORDER),
             timing=timing,
         )
 
@@ -212,16 +185,18 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
-def _count(key: str, value, least: int) -> int:
+def _count(key: str, value, least: int, most: Optional[int] = None) -> int:
     n = _integer(key, value)
     if n < least:
         raise ConfigError(f"{key} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ConfigError(f"{key} must be at most {most}, got {n}")
     return n
 
 
 def _list(key: str, value) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
     return value
 
 
@@ -233,8 +208,9 @@ def _names(kind: str, value, known) -> list:
     return names
 
 
-def _check_kernel_spec(spec) -> None:
-    """Family known; parameters named for that family, real and in range."""
+def _kernel_spec(spec) -> tuple:
+    """(family, parameters) of a config kernel entry: the family known, the
+    parameters named for that family, real and in range."""
     params = dict(spec) if isinstance(spec, dict) else {"family": spec}
     family = params.pop("family", None)
     if family not in CATALOG:
@@ -254,141 +230,76 @@ def _check_kernel_spec(spec) -> None:
             check_parameter(family, name, value)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-
-
-def _kernel_parameters(spec, op: Optional[OperatorSpec]) -> tuple:
-    """(family, parameters) of a kernel spec; a wavenumber the spec does not
-    give is the operator's, and a ConfigError when the operator has none."""
-    params = dict(spec) if isinstance(spec, dict) else {"family": spec}
-    family = params.pop("family")
-    if "k" in FAMILY_PARAMETERS[family] and "k" not in params:
-        if op is None or op.k <= 0:
-            raise ConfigError(f"kernel {family!r} needs a wavenumber k")
-        params["k"] = op.k
     return family, params
 
 
-def _resolve_kernel(spec, op: Optional[OperatorSpec], nodes: NodeSet) -> RadialKernel:
-    family, params = _kernel_parameters(spec, op)
+def _with_wavenumber(spec: tuple, op: Optional[OperatorSpec]) -> tuple:
+    """The spec with the operator's wavenumber where the family takes one the
+    spec does not give; a ConfigError when the operator has none."""
+    family, params = spec
+    if "k" in FAMILY_PARAMETERS[family] and "k" not in params:
+        if op is None or op.k <= 0:
+            raise ConfigError(f"kernel {family!r} needs a wavenumber k")
+        params = {**params, "k": op.k}
+    return family, params
+
+
+def _resolve_kernel(spec: tuple, nodes: NodeSet) -> RadialKernel:
+    """The kernel of a spec, with the node-dependent defaults of c and omega."""
+    family, params = spec
     takes = FAMILY_PARAMETERS[family]
+    defaults = {}
     if "c" in takes and "c" not in params:
-        params["c"] = default_shape_parameter(nodes.all_points())
+        defaults["c"] = default_shape_parameter(nodes.all_points())
     if "omega" in takes and "omega" not in params:
-        params["omega"] = 1.0
-    return build_kernel(family, **params)
+        defaults["omega"] = 1.0
+    return build_kernel(family, **params, **defaults)
 
 
-def _general_solution_for(op: OperatorSpec) -> RadialKernel:
-    if op.kind == "helmholtz_2d":
-        return build_kernel("helmholtz_gs_2d", k=op.k)
-    if op.kind == "mod_helmholtz_2d":
-        return build_kernel("mod_helmholtz_gs_2d", k=op.k)
-    raise ConfigError(f"no nonsingular general solution available for {op.kind}")
-
-
-@dataclass
-class RunOutcome:
-    evaluator: Optional[Callable]
-    cond_est: float
-    kernel_name: str
-    shape_param: Optional[float]
-    M_order: Optional[int] = None
-    trace_errors: Optional[ErrorMetrics] = None
-
-
-def _run_method(
+def _solve(
     problem: BenchmarkProblem,
     method: str,
-    kernel_spec,
+    spec: tuple,
     nodes: NodeSet,
-    bc: bkm.BoundaryData,
+    bc: Optional[bkm.BoundaryData],
     cfg: BenchConfig,
-) -> RunOutcome:
+) -> tuple:
+    """(kernel, solution) of one run: an Expansion, or RecoveredTraces for bkm_direct."""
     op = problem.operator
-    pts = nodes.all_points()
-    fs = problem.f_samples(pts)
-
-    if method == "bkm":
-        phi = _resolve_kernel(kernel_spec, op, nodes)
-        sol = bkm.solve_indirect(nodes, op, bc, fs, phi, _general_solution_for(op))
-        return RunOutcome(sol.evaluate, sol.cond_est, phi.name, phi.c or None)
-
-    if method == "bkm_direct":
-        phi = _resolve_kernel(kernel_spec, op, nodes)
-        rec = bkm.solve_direct(nodes, op, bc, fs, phi, _general_solution_for(op))
-        exact_nu = np.einsum(
-            "ij,ij->i",
-            np.asarray(problem.exact_grad(nodes.dirichlet_points), dtype=float),
-            nodes.dirichlet_normals,
-        )
-        exact_dg = np.asarray(problem.exact(nodes.neumann_points), dtype=float)
-        got = np.concatenate([rec.neumann_at_dirichlet, rec.dirichlet_at_neumann])
-        want = np.concatenate([exact_nu, exact_dg])
-        diff = got - want
-        denom = np.linalg.norm(want) or 1.0
-        metrics = ErrorMetrics(
-            float(np.linalg.norm(diff) / denom),
-            float(np.max(np.abs(diff))),
-            float(np.max(np.abs(diff))),
-        )
-        return RunOutcome(None, rec.cond_est, phi.name, phi.c or None, trace_errors=metrics)
-
     if method == "bpm":
         if problem.f_chain is None:
             raise ConfigError(f"problem {problem.name!r} provides no source-term chain")
-        M = cfg.bpm_order
-        chain = [higher_order_solution(op, m) for m in range(M + 1)]
-        prob = bpm.MrmProblem(
-            operator=op,
-            bc=bc,
-            f_chain=problem.f_chain,
-            order=M,
-            f_grad_chain=problem.f_grad_chain,
-        )
-        sol = bpm.solve_bpm(nodes, prob, chain)
-        return RunOutcome(sol.evaluate, sol.cond_est, chain[0].name, None, M_order=M)
+        chain = [higher_order_solution(op, m) for m in range(cfg.bpm_order + 1)]
+        mrm = bpm.MrmProblem(op, bc, problem.f_chain, cfg.bpm_order, problem.f_grad_chain)
+        return chain[0], bpm.solve_bpm(nodes, mrm, chain)
 
+    phi = _resolve_kernel(spec, nodes)
+    src = nodes.all_points()
+    fs = problem.f_samples(src)
+    fs = np.zeros(len(src)) if fs is None else fs
+    if method == "bkm":
+        return phi, bkm.solve_indirect(nodes, op, bc, fs, phi, higher_order_solution(op, 0))
+    if method == "bkm_direct":
+        return phi, bkm.solve_direct(nodes, op, bc, fs, phi, higher_order_solution(op, 0))
     if method == "mkm":
-        phi = _resolve_kernel(kernel_spec, op, nodes)
-        system = mkm.assemble_mkm(nodes, op, bc, _zeros_if_none(fs, len(pts)), phi)
-        sol = mkm.solve_mkm(system)
-        return RunOutcome(sol.evaluate, sol.cond_est, phi.name, phi.c or None)
-
+        return phi, mkm.solve_mkm(mkm.assemble_mkm(nodes, op, bc, fs, phi))
     if method == "kansa":
-        phi = _resolve_kernel(kernel_spec, op, nodes)
-        sol = mkm.solve_kansa_baseline(nodes, op, bc, _zeros_if_none(fs, len(pts)), phi)
-        return RunOutcome(sol.evaluate, sol.cond_est, phi.name, phi.c or None)
-
-    if method == "lsq":
-        phi = _resolve_kernel(kernel_spec, problem.operator, nodes)
-        field_nodes = partition_boundary(
-            generate_nodes(
-                problem.domain, 2 * nodes.n_boundary, 2 * nodes.n_interior, cfg.seed + 1
-            ),
-            problem.bc_rule,
-        )
-        src = nodes.all_points()
-        if problem.kind == "fit":
-            targets = np.asarray(problem.exact(field_nodes.all_points()), dtype=float)
-            G = kernel_value_matrix(phi, field_nodes.all_points(), src)
-            system = lsq.OverdeterminedSystem(G=G, b=targets)
-        else:
-            field_bc = bkm.BoundaryData.from_callables(
-                field_nodes, problem.exact, problem.exact_grad
-            )
-            fcall = problem.f if problem.f is not None else lambda p: np.zeros(len(p))
-            system = lsq.assemble_overdetermined(
-                src, field_nodes, problem.operator, field_bc, fcall, phi
-            )
-        result = lsq.solve_least_squares(system, method="orthogonal")
-        sol = Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
-        return RunOutcome(sol.evaluate, sol.cond_est, phi.name, phi.c or None)
-
-    raise ConfigError(f"unknown method {method!r}")
-
-
-def _zeros_if_none(fs, n):
-    return np.zeros(n) if fs is None else fs
+        return phi, mkm.solve_kansa_baseline(nodes, op, bc, fs, phi)
+    # lsq: collocate on a second, denser node set
+    field_nodes = partition_boundary(
+        generate_nodes(problem.domain, 2 * nodes.n_boundary, 2 * nodes.n_interior, cfg.seed + 1),
+        problem.bc_rule,
+    )
+    if problem.kind == "fit":
+        targets = np.asarray(problem.exact(field_nodes.all_points()), dtype=float)
+        G = kernel_value_matrix(phi, field_nodes.all_points(), src)
+        system = lsq.OverdeterminedSystem(G=G, b=targets)
+    else:
+        field_bc = bkm.BoundaryData.from_callables(field_nodes, problem.exact, problem.exact_grad)
+        fcall = problem.f if problem.f is not None else lambda p: np.zeros(len(p))
+        system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, fcall, phi)
+    result = lsq.solve_least_squares(system, method="orthogonal")
+    return phi, Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
 
 
 def _domain_label(domain: DomainSpec) -> str:
@@ -421,7 +332,7 @@ class BenchReport:
 def _single_run(
     problem: BenchmarkProblem,
     method: str,
-    kernel_spec,
+    spec: tuple,
     n_boundary: int,
     cfg: BenchConfig,
 ) -> ResultRow:
@@ -429,39 +340,45 @@ def _single_run(
         generate_nodes(problem.domain, n_boundary, cfg.n_interior, cfg.seed),
         problem.bc_rule,
     )
+    bc = None
     if problem.kind == "pde":
         bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
-    else:
-        bc = bkm.BoundaryData(
-            np.asarray(problem.exact(nodes.dirichlet_points), dtype=float), np.empty(0)
-        )
 
     start = time.perf_counter() if cfg.timing else None
-    outcome = _run_method(problem, method, kernel_spec, nodes, bc, cfg)
+    kernel, solution = _solve(problem, method, spec, nodes, bc, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
 
-    if outcome.trace_errors is not None:
-        metrics = outcome.trace_errors
+    if isinstance(solution, bkm.RecoveredTraces):
+        # complementary boundary traces against the exact ones, no band
+        got = np.concatenate([solution.neumann_at_dirichlet, solution.dirichlet_at_neumann])
+        exact_nu = np.einsum(
+            "ij,ij->i",
+            np.asarray(problem.exact_grad(nodes.dirichlet_points), dtype=float),
+            nodes.dirichlet_normals,
+        )
+        exact_dg = np.asarray(problem.exact(nodes.neumann_points), dtype=float)
+        want = np.concatenate([exact_nu, exact_dg])
+        metrics = compute_errors(lambda _: got, lambda _: want, nodes.boundary)
     else:
         probes = probe_grid(problem.domain)
         band = boundary_band_mask(problem.domain, probes)
-        metrics = compute_errors(outcome.evaluator, problem.exact, probes, band)
+        metrics = compute_errors(solution.evaluate, problem.exact, probes, band)
 
     op = problem.operator
     return ResultRow(
         method=method,
-        kernel=outcome.kernel_name,
+        kernel=kernel.name,
         operator=op.kind if op is not None else "fit",
         domain=_domain_label(problem.domain),
         n_boundary=n_boundary,
         n_interior=cfg.n_interior,
-        shape_param=outcome.shape_param,
+        shape_param=kernel.c or None,
         wavenumber=(op.k if op is not None and op.k > 0 else None),
-        M_order=outcome.M_order,
+        M_order=solution.order if isinstance(solution, bpm.BpmSolution) else None,
         l2_rel_err=metrics.l2_rel_err,
         max_err=metrics.max_err,
         boundary_band_err=metrics.boundary_band_err,
-        cond_est=outcome.cond_est,
+        cond_est=solution.cond_est,
         runtime_ms=runtime_ms,
         seed=cfg.seed,
     )
@@ -471,8 +388,8 @@ def _sweep(config, counts=None):
     """Run every configured combination over the boundary-node counts.
 
     Coerces `config` (a BenchConfig, a dict or a JSON path), resolves
-    every problem name and checks that each kernel has a wavenumber where
-    it needs one, all before the first solve; then yields one
+    every problem name and fills in each problem's wavenumber in the
+    kernel specs that need one, all before the first solve; then yields one
     (label, rows, errors) per problem/method/kernel combination, running
     `counts` (default: the config's n_boundary list) in order. Methods a
     problem does not support are skipped; solver failures become error
@@ -485,23 +402,25 @@ def _sweep(config, counts=None):
     else:
         cfg = BenchConfig.load(config)
     problems = [get_problem(name) for name in cfg.problems]
+    specs = []
     for problem in problems:
         check_consistency(problem)
         # every method but bpm (which uses its own kernel chain) resolves the kernels
         if any(m in problem.methods for m in cfg.methods if m != "bpm"):
-            for spec in cfg.kernels:
-                _kernel_parameters(spec, problem.operator)
+            specs.append([_with_wavenumber(spec, problem.operator) for spec in cfg.kernels])
+        else:
+            specs.append(cfg.kernels)
 
-    for problem in problems:
+    for problem, problem_specs in zip(problems, specs):
         for method in cfg.methods:
             if method not in problem.methods:
                 continue
             label = f"{problem.name}/{method}"
-            for kernel_spec in cfg.kernels:
+            for spec in problem_specs:
                 rows, errors = [], []
                 for idx, nb in enumerate(counts or cfg.n_boundary):
                     try:
-                        row = _single_run(problem, method, kernel_spec, nb, cfg)
+                        row = _single_run(problem, method, spec, nb, cfg)
                     except (RbfError, np.linalg.LinAlgError) as exc:
                         errors.append(f"{label}/nb={nb}: {type(exc).__name__}: {exc}")
                         continue

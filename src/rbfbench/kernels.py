@@ -464,6 +464,10 @@ def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
     )
 
 
+#: highest order of the higher-order solution chains
+MAX_CHAIN_ORDER = 4
+
+
 def higher_order_solution(operator, order: int) -> RadialKernel:
     """Radial solutions u_m with L{u_m} = u_(m-1), L{u_0} in the catalog.
 
@@ -472,10 +476,10 @@ def higher_order_solution(operator, order: int) -> RadialKernel:
     u_m = r^m J_m(k r) / ((2k)^m m!). For the 2D Laplacian it starts at
     the fundamental solution -ln(r)/(2 pi) and continues with
     u_m = r^(2m) (A_m ln r + B_m), A_m and B_m fixed by the recursion.
-    Implemented up to order 4.
+    Implemented up to order MAX_CHAIN_ORDER.
     """
-    if order < 0 or order > 4:
-        raise UnsupportedError(f"chain order must be in 0..4, got {order}")
+    if order < 0 or order > MAX_CHAIN_ORDER:
+        raise UnsupportedError(f"chain order must be in 0..{MAX_CHAIN_ORDER}, got {order}")
     kind = getattr(operator, "kind", operator)
     if kind == "helmholtz_2d":
         k = operator.k

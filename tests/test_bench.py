@@ -179,7 +179,9 @@ def test_timing_accepts_only_booleans(flag):
         ("n_boundary", 3),
         ("n_boundary", [16, 2]),
         ("bpm_order", 0),
+        ("bpm_order", 5),
         ("seed", -3),
+        ("n_boundary", []),
     ],
 )
 def test_non_integer_counts_rejected(key, bad):
@@ -189,8 +191,24 @@ def test_non_integer_counts_rejected(key, bad):
 
 @pytest.mark.parametrize(
     "key, bad",
-    [("problems", 5), ("methods", "bkm"), ("kernels", 3), ("problems", [["x"]])],
-    ids=["problems-int", "methods-str", "kernels-int", "problems-nested"],
+    [
+        ("problems", 5),
+        ("methods", "bkm"),
+        ("kernels", 3),
+        ("problems", [["x"]]),
+        ("problems", []),
+        ("methods", []),
+        ("kernels", []),
+    ],
+    ids=[
+        "problems-int",
+        "methods-str",
+        "kernels-int",
+        "problems-nested",
+        "problems-empty",
+        "methods-empty",
+        "kernels-empty",
+    ],
 )
 def test_config_lists_rejected(key, bad):
     with pytest.raises(ConfigError, match=key[:-1]):
@@ -297,6 +315,24 @@ def test_default_suite_covers_every_method():
     assert methods == {"bkm", "bkm_direct", "bpm", "mkm", "kansa", "lsq"}
     assert all(row.cond_est >= 1.0 for row in report.rows)
     assert elapsed < 60.0  # pilot: under 2 s
+    fixture = REPO / "tests" / "fixtures" / "default_suite.csv"
+    assert report.to_csv().encode() == fixture.read_bytes()
+
+
+def test_every_method_is_scored_by_compute_errors(monkeypatch):
+    from rbfbench import bench
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compute_errors(*args)
+
+    monkeypatch.setattr(bench, "compute_errors", counted)
+    report = run_benchmark({**SMALL, "methods": list(bench.METHOD_NAMES)})
+    assert report.exit_code == 0
+    assert {row.method for row in report.rows} == set(bench.METHOD_NAMES)
+    assert len(calls) == len(report.rows)
 
 
 def test_small_config_deterministic():
