@@ -72,10 +72,9 @@ def compute_errors(
     """Relative L2, max, and boundary-band max errors over the probes."""
     if len(probes) == 0:
         raise ValueError("probe grid is empty")
-    diff = np.asarray(evaluator(probes), dtype=float) - np.asarray(
-        exact(probes), dtype=float
-    )
-    denom = float(np.linalg.norm(exact(probes)))
+    want = np.asarray(exact(probes), dtype=float)
+    diff = np.asarray(evaluator(probes), dtype=float) - want
+    denom = float(np.linalg.norm(want))
     used_abs = denom == 0.0
     l2 = float(np.linalg.norm(diff)) / (1.0 if used_abs else denom)
     max_err = float(np.max(np.abs(diff)))

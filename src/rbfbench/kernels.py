@@ -493,6 +493,44 @@ def higher_order_solution(operator, order: int) -> RadialKernel:
     raise UnsupportedError(f"no higher-order solutions implemented for {kind!r}")
 
 
+#: below this argument the chain's J_n (n >= 2) come from the power
+#: series, at or above it from the upward recurrence
+_SERIES_CUTOVER = 2.0
+#: terms of the power series; at x < 2 the first one dropped is under
+#: 2e-24 of the sum
+_SERIES_TERMS = 14
+
+
+def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
+    """[J_0(x), ..., J_m(x)] for arguments x >= 0 and orders m <= MAX_CHAIN_ORDER.
+
+    J_0 and J_1 are scipy's `j0`/`j1`. Each higher order comes from the
+    power series (x/2)^n sum_j (-x^2/4)^j / (j! (n+j)!) (DLMF 10.2.2),
+    summed by Horner's rule, below _SERIES_CUTOVER, and from the upward
+    recurrence J_(n+1) = (2n/x) J_n - J_(n-1) (DLMF 10.6.1) at or above
+    it, where the recurrence is stable for n <= MAX_CHAIN_ORDER.
+    """
+    table = [special.j0(x), special.j1(x)]
+    if m < 2:
+        return table[: m + 1]
+    small = x < _SERIES_CUTOVER
+    half = 0.5 * x[small]
+    t = -half * half
+    # 2/x where the recurrence holds; a finite stand-in where the series
+    # overwrites it
+    two_over_x = 2.0 / np.maximum(x, _SERIES_CUTOVER)
+    for n in range(2, m + 1):
+        jn = (n - 1) * two_over_x * table[n - 1] - table[n - 2]
+        coeffs = [1.0 / (math.factorial(j) * math.factorial(n + j)) for j in range(_SERIES_TERMS)]
+        acc = np.full_like(t, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc *= t
+            acc += c
+        jn[small] = half**n * acc
+        table.append(jn)
+    return table
+
+
 def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
     d2_limit = a * k if m == 1 else 0.0
@@ -501,14 +539,11 @@ def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
         nz = r > 0.0
         q = r[nz]
         qm = q**m
-        yield _piecewise(nz, a * qm * special.jv(m, k * q), 0.0)
-        jm1 = special.jv(m - 1, k * q)
-        yield _piecewise(nz, a * k * qm * jm1, 0.0)
-        yield _piecewise(
-            nz,
-            a * (k * q ** (m - 1) * jm1 + k * k * qm * special.jv(m - 2, k * q)),
-            d2_limit,
-        )
+        J = _bessel_table(k * q, m)
+        yield _piecewise(nz, a * qm * J[m], 0.0)
+        yield _piecewise(nz, a * k * qm * J[m - 1], 0.0)
+        jm2 = J[m - 2] if m >= 2 else -J[1]  # J_(-1) = -J_1
+        yield _piecewise(nz, a * (k * q ** (m - 1) * J[m - 1] + k * k * qm * jm2), d2_limit)
 
     return RadialKernel(
         "higher_order", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"

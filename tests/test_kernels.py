@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from conftest import central_d1, radial_fd_laplacian
 from rbfbench.errors import ParameterError, SingularityError, UnsupportedError
 from rbfbench.kernels import (
     CATALOG,
+    _bessel_table,
     augment_r2m,
     build_kernel,
     check_regulation,
@@ -402,3 +404,46 @@ def test_bessel_routines_match_reference_fixture():
                 assert abs(fn(x) - want) <= 1e-12 * max(1.0, abs(want)), f"{name}({x})"
             else:
                 assert abs(fn(x) - want) <= 1e-10, f"{name}({x})"
+
+
+def test_bessel_table_matches_reference_fixture():
+    with open(FIXTURES / "bessel_reference.json") as fh:
+        reference = json.load(fh)
+    for n in range(5):
+        pairs = np.array(reference[f"j{n}"])
+        got = _bessel_table(pairs[:, 0], 4)[n]
+        for x, want, value in zip(pairs[:, 0], pairs[:, 1], got):
+            err = abs(value - want)
+            assert err <= 1e-15 * max(1.0, abs(want)), f"j{n}({x})"
+            assert err <= 1e-13 * abs(want), f"j{n}({x})"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+def test_chain_kernels_match_jv_formula(m, k):
+    # oracle: the chain's closed form through scipy's arbitrary-order jv
+    r = np.concatenate([[0.0], np.logspace(-8, 0, 33), np.linspace(0.0, 4.0 / k, 401)[1:]])
+    a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
+    want = (
+        a * r**m * special.jv(m, k * r),
+        a * k * r**m * special.jv(m - 1, k * r),
+        a * (k * r ** (m - 1) * special.jv(m - 1, k * r) + k * k * r**m * special.jv(m - 2, k * r)),
+    )
+    want[2][0] = a * k if m == 1 else 0.0
+    got = higher_order_solution(helmholtz(k), m).derivs_upto(r, 2)
+    for order, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), f"order {order}"
+
+
+def test_no_arbitrary_order_bessel_in_library():
+    # scipy's jv costs tens of times j0/j1 per element; the chain kernels
+    # build their orders from j0/j1 (kernels._bessel_table)
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "kernels.py" in modules
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in modules
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"special\.jv\(", line)
+    ]
+    assert offenders == []
