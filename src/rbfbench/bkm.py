@@ -19,11 +19,8 @@ import numpy as np
 from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import factor
+from .linalg import CONDITION_LIMIT, factor
 from .operators import Expansion, OperatorSpec, Term, collocation_matrix, homogeneous_residual
-
-#: solves refuse matrices beyond this condition estimate
-CONDITION_LIMIT = 1e14
 
 #: residual ceiling for accepting a kernel as a homogeneous solution
 GENERAL_SOLUTION_TOL = 1e-4

@@ -18,6 +18,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConditioningError
 
+#: condition estimate beyond which the BKM particular fit and the LSQ normal
+#: equations refuse their system and the LSQ QR solve falls back to the SVD
+CONDITION_LIMIT = 1e14
+
 
 @dataclass
 class Factor:

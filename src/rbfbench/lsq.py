@@ -5,7 +5,10 @@ contributes one row (governing equation or boundary condition), each
 source node one expansion column. Two solution paths are provided: the
 literal normal equations, and an orthogonal-factorization solve that is
 the numerically preferred default because forming G^T G squares the
-condition number.
+condition number. The orthogonal solve is one Householder QR of G
+(LAPACK gels) with a 1-norm condition estimate of its R factor (trcon),
+the least-squares counterpart of `linalg.factor`; only a numerically
+rank-deficient G takes the SVD-based minimum-norm solve (gelsd).
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import lstsq
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .bkm import BoundaryData, boundary_groups
 from .errors import ConditioningError, RankError, ShapeError
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import factor
+from .linalg import CONDITION_LIMIT, factor
 from .operators import OperatorSpec, collocation_matrix
 
 #: expansion scheme -> collocation column kind of its basis
@@ -102,13 +106,16 @@ def solve_least_squares(
     """Minimize the squared residual over the expansion coefficients.
 
     `normal_equations` forms G^T G and solves it directly; it refuses
-    rank-deficient systems. `orthogonal` factorizes G itself and falls
-    back to the minimum-norm solution (flagged) when rank drops.
+    rank-deficient systems. `orthogonal` factorizes G = QR itself and
+    reports the 1-norm condition estimate of R; when R is exactly
+    singular or its estimate passes `CONDITION_LIMIT`, it falls back to
+    the minimum-norm solution, flagged `rank_deficient` when the SVD
+    finds the rank short.
     """
     G, b = system.G, system.b
     if method == "normal_equations":
         try:
-            lu = factor(G.T @ G, "normal equations", limit=1e14)
+            lu = factor(G.T @ G, "normal equations", limit=CONDITION_LIMIT)
             beta = lu.solve(G.T @ b)
         except ConditioningError as exc:
             raise RankError(
@@ -121,13 +128,21 @@ def solve_least_squares(
             cond_est=lu.cond_est,
         )
     if method == "orthogonal":
-        # gelsd returns the singular values of G: their ratio is the
-        # 2-norm condition number, no second SVD needed
-        beta, _, rank, s = lstsq(G, b)
+        N = system.source_count
+        gels, gels_lwork, trcon = get_lapack_funcs(("gels", "gels_lwork", "trcon"), (G,))
+        # the optimal workspace makes gels blocked; with the minimum one it
+        # runs unblocked and is slower than gelsd
+        lwork, _ = gels_lwork(*G.shape, 1)
+        qr, x, info = gels(G, b[:, None], lwork=int(lwork))
+        rcond = trcon(qr[:N], norm="1")[0] if info == 0 else 0.0
+        cond = 1.0 / rcond if rcond > 0 else np.inf
+        beta, rank = x[:N, 0], N
+        if cond > CONDITION_LIMIT:
+            beta, _, rank, _ = lstsq(G, b)
         return LeastSquaresResult(
             beta=beta,
             sigma=residual_sigma(system, beta),
-            rank_deficient=rank < system.source_count,
-            cond_est=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
+            rank_deficient=rank < N,
+            cond_est=float(cond),
         )
     raise ValueError(f"method must be 'normal_equations' or 'orthogonal', got {method!r}")

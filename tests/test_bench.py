@@ -4,6 +4,7 @@ from pathlib import Path
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rbfbench import lsq
 from rbfbench.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -88,6 +89,17 @@ def test_manufactured_problems_are_consistent():
         problem = get_problem(name)
         check_consistency(problem)
         assert consistency_residual(problem) < 1e-8
+
+
+def test_lsq_rows_never_reach_the_svd(monkeypatch):
+    # every harness LSQ system is well conditioned: the QR path solves it
+    def no_svd(*args, **kwargs):
+        raise AssertionError("least-squares solve took the SVD fallback")
+
+    monkeypatch.setattr(lsq, "lstsq", no_svd)
+    report = run_benchmark({**SMALL, "methods": ["lsq"], "problems": list(PROBLEM_NAMES)})
+    assert report.exit_code == 0
+    assert len(report.rows) == len(PROBLEM_NAMES)
 
 
 def test_single_combo_yields_header_plus_one_row():
