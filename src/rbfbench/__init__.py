@@ -33,14 +33,11 @@ from .operators import (
     OperatorSpec,
     Term,
     adjoint_of,
-    apply_radial_operator,
     collocation_matrix,
     convection_diffusion,
     helmholtz,
     laplace,
-    mixed_normal_second_derivative,
     mod_helmholtz,
-    normal_derivative,
 )
 
 __version__ = "0.1.0"

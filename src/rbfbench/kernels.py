@@ -88,22 +88,12 @@ class RadialKernel:
     def d2(self, r):
         return self.deriv(r, 2)
 
-    def d3(self, r):
-        return self.deriv(r, 3)
-
-    def d4(self, r):
-        return self.deriv(r, 4)
-
     @property
     def derivs(self) -> tuple:
         """(phi, phi', ..., phi'''') as per-order callables; None above the top order."""
         return tuple(
             partial(self.deriv, order=o) if o <= self.top_order else None for o in range(5)
         )
-
-    @property
-    def has_fourth_order(self) -> bool:
-        return self.top_order >= 4
 
     @property
     def name(self) -> str:

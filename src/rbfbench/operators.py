@@ -5,17 +5,17 @@ constant coefficients: the 2D Laplacian (D=1, gamma=0), Helmholtz
 (gamma=+k^2), modified Helmholtz (gamma=-k^2) and convection-diffusion
 (D, velocity v). The adjoint-sign variant L* flips the velocity.
 
-Besides the scalar operations, this module builds every collocation
-matrix of every scheme with one function, `collocation_matrix`: rows are
-field values, field-normal derivatives or operator images L, columns are
-kernels, source-normal derivatives or adjoint images L*, and each of the
-nine (row, column) pairs is one analytic block formula, up to L L*
-(which needs third and fourth radial derivatives). Coincident
-field/source pairs (r below 1e-8) are patched with the analytic limits;
-for smooth radial kernels the gradient at the origin is the zero vector
-and the Laplacian limit is 2*phi''(0). Every solved field of every scheme
-is an `Expansion`, a sum of kernel expansions evaluated through the same
-function.
+Every kernel functional of every scheme is evaluated by one function,
+`collocation_matrix`: rows are field values, field-normal derivatives or
+operator images L, columns are kernels, source-normal derivatives or
+adjoint images L*, and each of the nine (row, column) pairs is one
+analytic block formula, up to L L* (which needs third and fourth radial
+derivatives). Coincident field/source pairs (r below 1e-8) are patched
+with the analytic limits; for smooth radial kernels the gradient at the
+origin is the zero vector and the Laplacian limit is 2*phi''(0). Every
+solved field of every scheme is an `Expansion`, a sum of kernel
+expansions evaluated through the same function, and the general-solution
+check `homogeneous_residual` is one call of it too.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class OperatorSpec:
         if self.kind == "convection_diffusion_2d":
             return np.asarray(self.velocity, dtype=float)
         return np.zeros(2)
-
-    @property
-    def is_self_adjoint(self) -> bool:
-        return np.all(self.velocity_vec == 0.0)
 
 
 def laplace() -> OperatorSpec:
@@ -389,16 +385,6 @@ def kernel_value_matrix(kernel: RadialKernel, X, Y) -> np.ndarray:
     return collocation_matrix(None, kernel, [("value", X)], [("value", Y)])
 
 
-def field_normal_matrix(kernel: RadialKernel, X, Y, normals_X) -> np.ndarray:
-    """Directional derivative at the field point: phi'(r) (d.n_i)/r."""
-    return collocation_matrix(None, kernel, [("normal", X, normals_X)], [("value", Y)])
-
-
-def source_normal_matrix(kernel: RadialKernel, X, Y, normals_Y) -> np.ndarray:
-    """Directional derivative at the source point: -phi'(r) (d.n_j)/r."""
-    return collocation_matrix(None, kernel, [("value", X)], [("normal", Y, normals_Y)])
-
-
 def mixed_normal_matrix(kernel: RadialKernel, X, Y, normals_X, normals_Y) -> np.ndarray:
     """Field-normal derivative of the source-normal derivative."""
     return collocation_matrix(
@@ -409,25 +395,6 @@ def mixed_normal_matrix(kernel: RadialKernel, X, Y, normals_X, normals_Y) -> np.
 def operator_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
     """L applied in the field variable."""
     return collocation_matrix(op, kernel, [("op", X)], [("value", Y)])
-
-
-def adjoint_image_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
-    """L* applied in the field variable (the Hermite trial basis)."""
-    return collocation_matrix(op, kernel, [("value", X)], [("adjoint", Y)])
-
-
-def operator_source_normal_matrix(
-    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_Y
-) -> np.ndarray:
-    """L (field) applied to the source-normal basis column."""
-    return collocation_matrix(op, kernel, [("op", X)], [("normal", Y, normals_Y)])
-
-
-def adjoint_normal_image_matrix(
-    op: OperatorSpec, kernel: RadialKernel, X, Y, normals_X
-) -> np.ndarray:
-    """Field-normal derivative of the L* image (boundary rows on trial columns)."""
-    return collocation_matrix(op, kernel, [("normal", X, normals_X)], [("adjoint", Y)])
 
 
 def ll_star_matrix(op: OperatorSpec, kernel: RadialKernel, X, Y) -> np.ndarray:
@@ -451,58 +418,19 @@ def _require_fourth_order(kernel: RadialKernel, order: int):
         )
 
 
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
+#: where `homogeneous_residual` samples: radii 0.5, 1 and 2 along both axes,
+#: so that a velocity along either axis shows in L{phi}
+_RESIDUAL_POINTS = np.array(
+    [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
+)
 
 
-def apply_radial_operator(op: OperatorSpec, kernel: RadialKernel, x, x_s) -> float:
-    """L{phi(|x - x_s|)} evaluated at the field point x."""
-    out = operator_image_matrix(op, kernel, np.asarray(x)[None, :], np.asarray(x_s)[None, :])
-    return float(out[0, 0])
+def homogeneous_residual(op: OperatorSpec, kernel: RadialKernel) -> float:
+    """Max |L{phi}| over the sample points, each normalized by max(1, |phi|).
 
-
-def normal_derivative(kernel: RadialKernel, x, x_s, n, side: str = "field") -> float:
-    """Directional derivative along n, taken at the field or source point.
-
-    The source-side value is the exact negation of the field-side value.
+    phi is the kernel centred at the origin and L the full operator, its
+    convection term included; a homogeneous solution of L leaves roundoff.
     """
-    x = np.asarray(x, dtype=float)
-    x_s = np.asarray(x_s, dtype=float)
-    n = np.asarray(n, dtype=float)
-    d = x - x_s
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise SingularityError("normal derivative undefined at zero separation")
-    fieldval = kernel.derivs_upto(r, 1)[1] * float(d @ n) / r
-    if side == "field":
-        return fieldval
-    if side == "source":
-        return -fieldval
-    raise ValueError(f"side must be 'field' or 'source', got {side!r}")
-
-
-def mixed_normal_second_derivative(kernel: RadialKernel, x, x_s, n_x, n_s) -> float:
-    """Field-normal derivative of the source-normal derivative."""
-    x = np.asarray(x, dtype=float)
-    x_s = np.asarray(x_s, dtype=float)
-    if np.array_equal(x, x_s):
-        raise SingularityError("mixed normal derivative undefined at zero separation")
-    out = mixed_normal_matrix(
-        kernel,
-        x[None, :],
-        x_s[None, :],
-        np.asarray(n_x, dtype=float)[None, :],
-        np.asarray(n_s, dtype=float)[None, :],
-    )
-    return float(out[0, 0])
-
-
-def homogeneous_residual(op: OperatorSpec, kernel: RadialKernel, radii=(0.5, 1.0, 2.0)) -> float:
-    """Max |L{phi}| over sample radii, normalized by max(1, |phi|)."""
-    worst = 0.0
-    for r in radii:
-        phi, d1, d2 = kernel.derivs_upto(r, 2)
-        val = op.diff_coeff * (d2 + d1 / r) + op.reaction * phi
-        worst = max(worst, abs(val) / max(1.0, abs(phi)))
-    return worst
+    rows = [("op", _RESIDUAL_POINTS), ("value", _RESIDUAL_POINTS)]
+    image, phi = collocation_matrix(op, kernel, rows, [("value", np.zeros((1, 2)))]).reshape(2, -1)
+    return float(np.max(np.abs(image) / np.maximum(1.0, np.abs(phi))))

@@ -147,7 +147,7 @@ def _helmholtz_disk_inhom() -> BenchmarkProblem:
     def grad(p):
         return np.column_stack([np.cos(p[:, 0]), np.zeros(len(p))])
 
-    chain = tuple(_const_fn(k ** (2 * j)) for j in range(1, 5))  # L^(j-1){f}, f = 1
+    chain = tuple(_const_fn(k ** (2 * j)) for j in range(4))  # L^j{f}, f = 1
 
     return BenchmarkProblem(
         name="helmholtz_disk_inhom",

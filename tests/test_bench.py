@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pathlib import Path
@@ -16,6 +18,8 @@ from rbfbench.bench import (
 from rbfbench.errors import ConfigError
 from rbfbench.geometry import DomainSpec, boundary_band_mask, distance_to_boundary
 from rbfbench.problems import (
+    CONSISTENCY_TOL,
+    _fd_operator_image,
     check_consistency,
     consistency_residual,
     get_problem,
@@ -89,6 +93,43 @@ def test_manufactured_problems_are_consistent():
         problem = get_problem(name)
         check_consistency(problem)
         assert consistency_residual(problem) < 1e-8
+
+
+CHAIN_PROBLEMS = [name for name in PROBLEM_NAMES if get_problem(name).f_chain is not None]
+
+
+def chain_defects(problem) -> list:
+    """Entries of the source-term chain that disagree with L^j{f} or with their gradients."""
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, (20, 2))
+    chain, grads = problem.f_chain, problem.f_grad_chain
+    f = problem.f(pts) if problem.f is not None else 0.0
+    defects = [] if np.allclose(chain[0](pts), f, rtol=0, atol=CONSISTENCY_TOL) else ["f_chain[0]"]
+    for j in range(1, len(chain)):
+        image = _fd_operator_image(problem.operator, chain[j - 1], pts)
+        if not np.allclose(chain[j](pts), image, rtol=0, atol=CONSISTENCY_TOL):
+            defects.append(f"f_chain[{j}]")
+    h = 1e-6
+    for j, grad in enumerate(grads):
+        fd = np.column_stack(
+            [(chain[j](pts + e) - chain[j](pts - e)) / (2 * h) for e in ([h, 0.0], [0.0, h])]
+        )
+        if not np.allclose(grad(pts), fd, rtol=0, atol=1e-6):
+            defects.append(f"f_grad_chain[{j}]")
+    return defects
+
+
+@pytest.mark.parametrize("name", CHAIN_PROBLEMS)
+def test_source_term_chains_are_operator_powers(name):
+    # f_chain[j] = L^j{f} and f_grad_chain[j] its gradient, as MrmProblem reads them
+    assert chain_defects(get_problem(name)) == []
+
+
+def test_chain_check_catches_a_wrong_entry():
+    problem = get_problem("helmholtz_disk_inhom")
+    chain = list(problem.f_chain)
+    chain[1] = lambda p: np.full(len(p), 1.5)
+    broken = dataclasses.replace(problem, f_chain=tuple(chain))
+    assert chain_defects(broken) == ["f_chain[1]", "f_chain[2]"]
 
 
 def test_lsq_rows_never_reach_the_svd(monkeypatch):

@@ -8,7 +8,14 @@ from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
 from rbfbench.errors import ConditioningError, InvalidKernelError
 from rbfbench.geometry import DomainSpec, NodeSet, generate_nodes, partition_boundary
 from rbfbench.kernels import build_kernel
-from rbfbench.operators import helmholtz, operator_image_matrix
+from rbfbench.operators import (
+    convection_diffusion,
+    helmholtz,
+    homogeneous_residual,
+    laplace,
+    mod_helmholtz,
+    operator_image_matrix,
+)
 from rbfbench.problems import get_problem
 
 DISK = DomainSpec("unit_disk")
@@ -92,6 +99,30 @@ def test_assembly_rejects_non_solution_kernel():
     nodes = mixed_nodes()
     with pytest.raises(InvalidKernelError):
         bkm.assemble_symmetric_system(nodes, OP, build_kernel("mq", c=1.0))
+
+
+@pytest.mark.parametrize("velocity", [(1.0, 0.0), (0.0, 0.5)])
+def test_convection_term_counts_in_homogeneous_residual(velocity):
+    # the Laplace fundamental solution is harmonic, so only -v.grad(phi)
+    # leaves a residual; it must show for a velocity along either axis
+    op = convection_diffusion(1.0, velocity)
+    kern = build_kernel("laplace_fs_2d")
+    assert homogeneous_residual(op, kern) > bkm.GENERAL_SOLUTION_TOL
+    with pytest.raises(InvalidKernelError):
+        bkm.assemble_symmetric_system(mixed_nodes(), op, kern)
+
+
+@pytest.mark.parametrize(
+    "op, family, params",
+    [
+        (helmholtz(2.0), "helmholtz_gs_2d", dict(k=2.0)),
+        (mod_helmholtz(1.5), "mod_helmholtz_gs_2d", dict(k=1.5)),
+        (laplace(), "laplace_fs_2d", dict()),
+    ],
+    ids=["j0", "i0", "laplace_fs"],
+)
+def test_general_solutions_leave_roundoff_residual(op, family, params):
+    assert homogeneous_residual(op, build_kernel(family, **params)) <= 1e-12
 
 
 def test_pure_dirichlet_matrix_is_distance_symmetric():

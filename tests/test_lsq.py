@@ -8,7 +8,7 @@ from rbfbench.geometry import DomainSpec, generate_nodes, partition_boundary
 from rbfbench.kernels import build_kernel
 from rbfbench.linalg import CONDITION_LIMIT
 from rbfbench.operators import (
-    field_normal_matrix,
+    collocation_matrix,
     kernel_value_matrix,
     laplace,
     operator_image_matrix,
@@ -99,11 +99,12 @@ def test_coincident_sets_reproduce_square_collocation_matrix():
     phi = build_kernel("mq", c=0.6)
     src = nodes.all_points()
     system = lsq.assemble_overdetermined(src, nodes, p.operator, bc, p.f, phi, "kansa_like")
-    want = np.vstack([
-        operator_image_matrix(p.operator, phi, nodes.interior, src),
-        kernel_value_matrix(phi, nodes.dirichlet_points, src),
-        field_normal_matrix(phi, nodes.neumann_points, src, nodes.neumann_normals),
-    ])
+    rows = [
+        ("op", nodes.interior),
+        ("value", nodes.dirichlet_points),
+        ("normal", nodes.neumann_points, nodes.neumann_normals),
+    ]
+    want = collocation_matrix(p.operator, phi, rows, [("value", src)])
     assert np.array_equal(system.G, want)
     assert system.field_count == system.source_count
 
@@ -139,11 +140,12 @@ def test_mkm_like_scheme_uses_operator_basis():
     src = nodes.all_points()
     phi = build_kernel("gaussian", c=0.7)
     system = lsq.assemble_overdetermined(src, nodes, p.operator, bc, p.f, phi, "mkm_like")
-    from rbfbench.operators import adjoint_image_matrix, ll_star_matrix
+    from rbfbench.operators import ll_star_matrix
 
     want_top = ll_star_matrix(p.operator, phi, nodes.interior, src)
     assert np.array_equal(system.G[: len(nodes.interior)], want_top)
-    want_d = adjoint_image_matrix(p.operator, phi, nodes.dirichlet_points, src)
+    rows, cols = [("value", nodes.dirichlet_points)], [("adjoint", src)]
+    want_d = collocation_matrix(p.operator, phi, rows, cols)
     nD = len(nodes.dirichlet_idx)
     assert np.array_equal(system.G[len(nodes.interior) : len(nodes.interior) + nD], want_d)
 
@@ -164,11 +166,12 @@ def test_monotone_refinement_on_consistent_problem():
         field = partition_boundary(
             generate_nodes(SQUARE, mult * 12, mult * 24, seed), [(0.0, 0.75)]
         )
-        G = np.vstack([
-            operator_image_matrix(op, phi, field.interior, src),
-            kernel_value_matrix(phi, field.dirichlet_points, src),
-            field_normal_matrix(phi, field.neumann_points, src, field.neumann_normals),
-        ])
+        rows = [
+            ("op", field.interior),
+            ("value", field.dirichlet_points),
+            ("normal", field.neumann_points, field.neumann_normals),
+        ]
+        G = collocation_matrix(op, phi, rows, [("value", src)])
         system = lsq.OverdeterminedSystem(G=G, b=G @ beta_true)
         res = lsq.solve_least_squares(system)
         per_row.append(res.sigma / system.field_count)

@@ -106,20 +106,16 @@ def test_kansa_zero_data_gives_zero():
 
 
 def test_kansa_matrix_generally_unsymmetric():
-    from rbfbench.operators import (
-        field_normal_matrix,
-        kernel_value_matrix,
-        operator_image_matrix,
-    )
+    from rbfbench.operators import collocation_matrix
 
     _, nodes, bc, fs = p2_setup(n_boundary=12, n_interior=9)
     phi = build_kernel("mq", c=0.8)
-    centers = nodes.all_points()
-    A = np.vstack([
-        operator_image_matrix(laplace(), phi, nodes.interior, centers),
-        kernel_value_matrix(phi, nodes.dirichlet_points, centers),
-        field_normal_matrix(phi, nodes.neumann_points, centers, nodes.neumann_normals),
-    ])
+    rows = [
+        ("op", nodes.interior),
+        ("value", nodes.dirichlet_points),
+        ("normal", nodes.neumann_points, nodes.neumann_normals),
+    ]
+    A = collocation_matrix(laplace(), phi, rows, [("value", nodes.all_points())])
     defect = np.max(np.abs(A - A.T)) / np.max(np.abs(A))
     assert defect > 1e-6
 

@@ -11,18 +11,13 @@ from rbfbench.errors import KernelSmoothnessError, ParameterError, SingularityEr
 from rbfbench.kernels import RadialKernel, build_kernel, higher_order_solution
 from rbfbench.operators import (
     OperatorSpec,
-    adjoint_image_matrix,
-    adjoint_normal_image_matrix,
     adjoint_of,
-    apply_radial_operator,
+    collocation_matrix,
     convection_diffusion,
     helmholtz,
     laplace,
     ll_star_matrix,
-    mixed_normal_second_derivative,
     mod_helmholtz,
-    normal_derivative,
-    operator_source_normal_matrix,
 )
 
 
@@ -55,34 +50,36 @@ def test_operator_parameter_validation():
 
 
 def test_laplacian_of_r_squared_is_four():
-    val = apply_radial_operator(laplace(), quadratic_kernel(), (0.7, 0.2), (0.1, -0.3))
+    rows, cols = [("op", [(0.7, 0.2)])], [("value", [(0.1, -0.3)])]
+    val = collocation_matrix(laplace(), quadratic_kernel(), rows, cols)[0, 0]
     assert val == pytest.approx(4.0, rel=1e-12)
 
 
 def test_helmholtz_annihilates_its_general_solution():
     op = helmholtz(2.0)
     kern = build_kernel("helmholtz_gs_2d", k=2.0)
-    x_s = np.array([0.0, 0.0])
-    for x in ([1.0, 0.0], [0.3, 0.4], [1.5, -2.0]):
-        assert abs(apply_radial_operator(op, kern, x, x_s)) < 1e-11
+    x = [[1.0, 0.0], [0.3, 0.4], [1.5, -2.0]]
+    image = collocation_matrix(op, kern, [("op", x)], [("value", [(0.0, 0.0)])])
+    assert np.max(np.abs(image)) < 1e-11
 
 
 def test_mod_helmholtz_annihilates_bessel_i():
     op = mod_helmholtz(1.5)
     kern = build_kernel("mod_helmholtz_gs_2d", k=1.5)
-    assert abs(apply_radial_operator(op, kern, (0.8, 0.1), (0.0, 0.0))) < 1e-11
+    image = collocation_matrix(op, kern, [("op", [(0.8, 0.1)])], [("value", [(0.0, 0.0)])])
+    assert abs(image[0, 0]) < 1e-11
 
 
 def test_laplacian_limit_at_origin():
     kern = build_kernel("gaussian", c=1.0)
-    val = apply_radial_operator(laplace(), kern, (0.3, 0.3), (0.3, 0.3))
-    assert val == pytest.approx(-4.0)  # 2 * phi''(0)
+    val = collocation_matrix(laplace(), kern, [("op", [(0.3, 0.3)])], [("value", [(0.3, 0.3)])])
+    assert val[0, 0] == pytest.approx(-4.0)  # 2 * phi''(0)
 
 
 def test_singular_kernel_at_coincident_points_raises():
     kern = build_kernel("laplace_fs_2d")
     with pytest.raises(SingularityError):
-        apply_radial_operator(laplace(), kern, (0.5, 0.5), (0.5, 0.5))
+        collocation_matrix(laplace(), kern, [("op", [(0.5, 0.5)])], [("value", [(0.5, 0.5)])])
 
 
 OPERATORS = [
@@ -114,7 +111,7 @@ def test_operator_image_matches_2d_stencil(op, family):
     x_s = np.array([0.15, -0.2])
     for x in ([0.8, 0.3], [-0.5, 0.9], [1.4, 1.1]):
         want = fd_operator_2d(op, kern, x, x_s, h=1e-4)
-        got = apply_radial_operator(op, kern, x, x_s)
+        got = collocation_matrix(op, kern, [("op", [x])], [("value", [x_s])])[0, 0]
         # abs floor sits above the stencil's own truncation error, which
         # is what remains when the analytic image is exactly zero
         assert got == pytest.approx(want, rel=1e-4, abs=1e-6)
@@ -130,22 +127,15 @@ def test_adjoint_identities():
 
 def test_normal_derivative_examples():
     kern = quadratic_kernel()
-    val = normal_derivative(kern, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), side="field")
+    x, x_s, n = [(1.0, 0.0)], [(0.0, 0.0)], [(1.0, 0.0)]
+    val = collocation_matrix(None, kern, [("normal", x, n)], [("value", x_s)])[0, 0]
     assert val == pytest.approx(2.0)
-    val_s = normal_derivative(kern, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), side="source")
+    val_s = collocation_matrix(None, kern, [("value", x)], [("normal", x_s, n)])[0, 0]
     assert val_s == pytest.approx(-2.0)
     # direction orthogonal to the separation contributes nothing
-    ortho = normal_derivative(build_kernel("gaussian", c=1.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
-    assert ortho == 0.0
-
-
-def test_normal_derivative_zero_separation_raises():
-    with pytest.raises(SingularityError):
-        normal_derivative(quadratic_kernel(), (1.0, 1.0), (1.0, 1.0), (1.0, 0.0))
-    with pytest.raises(SingularityError):
-        mixed_normal_second_derivative(
-            quadratic_kernel(), (1.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)
-        )
+    gauss = build_kernel("gaussian", c=1.0)
+    ortho = collocation_matrix(None, gauss, [("normal", x, [(0.0, 1.0)])], [("value", x_s)])
+    assert ortho[0, 0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,17 +152,18 @@ def test_normal_derivative_antisymmetry_exact(coords, theta):
         return
     n = np.array([np.cos(theta), np.sin(theta)])
     kern = build_kernel("mq", c=1.0)
-    f = normal_derivative(kern, x, x_s, n, side="field")
-    s = normal_derivative(kern, x, x_s, n, side="source")
+    f = collocation_matrix(None, kern, [("normal", x, n)], [("value", x_s)])[0, 0]
+    s = collocation_matrix(None, kern, [("value", x)], [("normal", x_s, n)])[0, 0]
     assert s == -f  # exact negation, not approximate
 
 
 def test_mixed_derivative_examples():
     kern = quadratic_kernel()
-    val = mixed_normal_second_derivative(kern, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0))
-    assert val == pytest.approx(-2.0)
-    val = mixed_normal_second_derivative(kern, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    assert val == pytest.approx(0.0, abs=1e-14)
+    rows = [("normal", [(1.0, 0.0)], [(1.0, 0.0)])]
+    val = collocation_matrix(None, kern, rows, [("normal", [(0.0, 0.0)], [(1.0, 0.0)])])
+    assert val[0, 0] == pytest.approx(-2.0)
+    val = collocation_matrix(None, kern, rows, [("normal", [(0.0, 0.0)], [(0.0, 1.0)])])
+    assert val[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mixed_derivative_matches_nested_differences():
@@ -181,7 +172,8 @@ def test_mixed_derivative_matches_nested_differences():
     n_x = np.array([1.0, 0.0])
     for n_s in ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0]):
         want = nested_normal_fd(kern, x, x_s, n_x, n_s)
-        got = mixed_normal_second_derivative(kern, x, x_s, n_x, np.asarray(n_s))
+        rows, cols = [("normal", x, n_x)], [("normal", x_s, n_s)]
+        got = collocation_matrix(None, kern, rows, cols)[0, 0]
         assert got == pytest.approx(want, rel=1e-5, abs=1e-9)
 
 
@@ -200,8 +192,8 @@ def test_mixed_derivative_swap_symmetry(coords, angles):
     n_x = np.array([np.cos(angles[0]), np.sin(angles[0])])
     n_y = np.array([np.cos(angles[1]), np.sin(angles[1])])
     kern = build_kernel("imq", c=0.8)
-    a = mixed_normal_second_derivative(kern, x, y, n_x, n_y)
-    b = mixed_normal_second_derivative(kern, y, x, n_y, n_x)
+    a = collocation_matrix(None, kern, [("normal", x, n_x)], [("normal", y, n_y)])[0, 0]
+    b = collocation_matrix(None, kern, [("normal", y, n_y)], [("normal", x, n_x)])[0, 0]
     assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
 
 
@@ -218,7 +210,7 @@ def test_ll_star_matches_nested_stencils():
     y = np.array([[0.1, -0.1]])
 
     def adjoint_field(p):
-        return adjoint_image_matrix(op, kern, np.atleast_2d(p), y)[:, 0]
+        return collocation_matrix(op, kern, [("value", p)], [("adjoint", y)])[:, 0]
 
     x = np.array([0.6, 0.4])
     h = 1e-4
@@ -252,11 +244,11 @@ def test_normal_of_adjoint_image_matches_differences():
     n = np.array([0.8, 0.6])
 
     def adjoint_field(p):
-        return adjoint_image_matrix(op, kern, np.atleast_2d(p), y)[0, 0]
+        return collocation_matrix(op, kern, [("value", p)], [("adjoint", y)])[0, 0]
 
     h = 1e-5
     want = (adjoint_field(x + h * n) - adjoint_field(x - h * n)) / (2 * h)
-    got = adjoint_normal_image_matrix(op, kern, x[None, :], y, n[None, :])[0, 0]
+    got = collocation_matrix(op, kern, [("normal", x, n)], [("adjoint", y)])[0, 0]
     assert got == pytest.approx(want, rel=1e-5)
 
 
@@ -268,16 +260,14 @@ def test_operator_of_source_normal_basis_matches_differences():
     x = np.array([0.6, 0.4])
 
     def basis(p):
-        from rbfbench.operators import source_normal_matrix
-
-        return source_normal_matrix(kern, np.atleast_2d(p), y[None, :], n_s[None, :])[:, 0]
+        return collocation_matrix(None, kern, [("value", p)], [("normal", y, n_s)])[:, 0]
 
     # five-point stencil applied to the basis function directly
     h = 1e-4
     ex, ey = np.array([h, 0.0]), np.array([0.0, h])
     lap = (basis(x + ex) + basis(x - ex) + basis(x + ey) + basis(x - ey) - 4 * basis(x))[0] / (h * h)
     want = lap + op.reaction * basis(x)[0]
-    got = operator_source_normal_matrix(op, kern, x[None, :], y[None, :], n_s[None, :])[0, 0]
+    got = collocation_matrix(op, kern, [("op", x)], [("normal", y, n_s)])[0, 0]
     assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -299,13 +289,8 @@ def test_fourth_order_schemes_reject_rough_kernels():
 SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
 
 BLOCK_BUILDERS = (
-    "field_normal_matrix",
-    "source_normal_matrix",
     "mixed_normal_matrix",
     "operator_image_matrix",
-    "adjoint_image_matrix",
-    "operator_source_normal_matrix",
-    "adjoint_normal_image_matrix",
     "ll_star_matrix",
 )
 
@@ -342,14 +327,7 @@ def test_only_operators_defines_field_evaluators():
 
 
 def test_collocation_matrix_stacks_the_block_builders():
-    from rbfbench.operators import (
-        collocation_matrix,
-        field_normal_matrix,
-        kernel_value_matrix,
-        mixed_normal_matrix,
-        operator_image_matrix,
-        source_normal_matrix,
-    )
+    from rbfbench.operators import kernel_value_matrix, mixed_normal_matrix, operator_image_matrix
 
     op = convection_diffusion(0.8, (0.5, -0.4))
     kern = build_kernel("gaussian", c=0.9)
@@ -363,13 +341,13 @@ def test_collocation_matrix_stacks_the_block_builders():
     A = collocation_matrix(op, kern, rows, cols)
     assert A.shape == (12, 13)
     assert np.array_equal(A[:5, :4], operator_image_matrix(op, kern, X, Y))
-    assert np.array_equal(A[5:7, 4:9], source_normal_matrix(kern, X[:2], X, n))
-    assert np.array_equal(A[7:, :4], field_normal_matrix(kern, X, Y, n))
+    assert np.array_equal(A[5:7, 4:9], collocation_matrix(op, kern, [rows[1]], [cols[1]]))
+    assert np.array_equal(A[7:, :4], collocation_matrix(op, kern, [rows[3]], [cols[0]]))
     assert np.array_equal(A[7:, 4:9], mixed_normal_matrix(kern, X, X, n, n))
-    assert np.array_equal(A[5:7, 9:], adjoint_image_matrix(op, kern, X[:2], Y))
+    assert np.array_equal(A[5:7, 9:], collocation_matrix(op, kern, [rows[1]], [cols[2]]))
     assert np.array_equal(A[:5, 9:], ll_star_matrix(op, kern, X, Y))
-    assert np.array_equal(A[7:, 9:], adjoint_normal_image_matrix(op, kern, X, Y, n))
-    assert np.array_equal(A[:5, 4:9], operator_source_normal_matrix(op, kern, X, X, n))
+    assert np.array_equal(A[7:, 9:], collocation_matrix(op, kern, [rows[3]], [cols[2]]))
+    assert np.array_equal(A[:5, 4:9], collocation_matrix(op, kern, [rows[0]], [cols[1]]))
     assert np.array_equal(A[5:7, :4], kernel_value_matrix(kern, X[:2], Y))
 
 
@@ -381,13 +359,7 @@ def test_collocation_matrix_stacks_the_block_builders():
 def test_transposed_blocks_match_single_block_builds(kern):
     # the second of two transposed blocks reads the first one's kernel
     # derivatives; it must equal the block built on its own, bit for bit
-    from rbfbench.operators import (
-        collocation_matrix,
-        field_normal_matrix,
-        kernel_value_matrix,
-        mixed_normal_matrix,
-        source_normal_matrix,
-    )
+    from rbfbench.operators import kernel_value_matrix, mixed_normal_matrix
 
     rng = np.random.default_rng(5)
     X, Y = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (4, 2))
@@ -396,14 +368,12 @@ def test_transposed_blocks_match_single_block_builds(kern):
     groups = [("value", X), ("normal", Y, n)]
     A = collocation_matrix(None, kern, groups, groups)
     assert np.array_equal(A[:6, :6], kernel_value_matrix(kern, X, X))
-    assert np.array_equal(A[:6, 6:], source_normal_matrix(kern, X, Y, n))
-    assert np.array_equal(A[6:, :6], field_normal_matrix(kern, Y, X, n))
+    assert np.array_equal(A[:6, 6:], collocation_matrix(None, kern, groups[:1], groups[1:]))
+    assert np.array_equal(A[6:, :6], collocation_matrix(None, kern, groups[1:], groups[:1]))
     assert np.array_equal(A[6:, 6:], mixed_normal_matrix(kern, Y, Y, n, n))
 
 
 def test_collocation_matrix_rejects_unknown_groups():
-    from rbfbench.operators import collocation_matrix
-
     kern = build_kernel("mq", c=1.0)
     pts = np.zeros((1, 2))
     with pytest.raises(ValueError):

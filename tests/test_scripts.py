@@ -1,4 +1,4 @@
-"""Smoke tests: the example scripts run to completion in-process.
+"""Smoke tests: the example scripts and the benchmark replay run to completion in-process.
 
 `run_default_suite.py` is left out because it writes `results.csv` into
 the working directory.
@@ -7,9 +7,11 @@ the working directory.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 
 
 def _run_main(name):
@@ -36,3 +38,20 @@ def test_script_main_runs(name, headers, n_lines, capsys):
     for header in headers:
         assert any(line.startswith(header) for line in lines), header
     assert len(lines) == n_lines
+
+
+def test_perfbench_replay_runs_every_problem_method_pair(monkeypatch):
+    # the traced replay imports library functions by name; a removed or
+    # renamed one fails here, not only in the separate perfbench suite
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import replay
+    import workloads
+
+    cases = {}
+    for w in workloads.WORKLOADS:
+        for case in workloads.cases(w, smoke=True):
+            cases.setdefault((case["problems"][0], case["methods"][0]), case)
+    assert len(cases) == 19
+    for pair, case in cases.items():
+        result = replay.replay_case(replay.Tracer(), case)
+        assert np.isfinite(result.l2_rel_err), pair
