@@ -4,7 +4,8 @@
 Fits a step function along the first coordinate with a global MQ
 expansion, once by square interpolation and once with twice as many
 field rows solved in the least-squares sense, then reports the maximum
-overshoot on a line of probes crossing the jump.
+overshoot on a line of probes crossing the jump: how far the fit rises
+above the step's top value 1 or falls below its bottom value 0.
 """
 
 import numpy as np
@@ -13,6 +14,11 @@ from rbfbench import lsq
 from rbfbench.geometry import DomainSpec, generate_nodes
 from rbfbench.kernels import build_kernel
 from rbfbench.operators import kernel_value_matrix
+
+
+def overshoot(u: np.ndarray) -> float:
+    """Largest excursion of u outside the step's range [0, 1]."""
+    return max(np.max(u) - 1.0, -np.min(u))
 
 
 def main():
@@ -30,12 +36,11 @@ def main():
     xs = np.linspace(0.05, 0.95, 181)
     probes = np.column_stack([xs, np.full_like(xs, 0.55)])
     basis = kernel_value_matrix(psi, probes, sources)
-    err_interp = np.abs(basis @ interp - target(probes))
-    err_lsq = np.abs(basis @ res.beta - target(probes))
+    u_interp, u_lsq = basis @ interp, basis @ res.beta
 
     print(f"sources: {len(sources)}, field rows: {len(fields)} (2x)")
-    print(f"max overshoot, interpolation : {np.max(err_interp):.4f}")
-    print(f"max overshoot, least squares : {np.max(err_lsq):.4f}")
+    print(f"max overshoot, interpolation : {overshoot(u_interp):.4f}")
+    print(f"max overshoot, least squares : {overshoot(u_lsq):.4f}")
     print(f"residual sum of squares      : {res.sigma:.4f}")
 
 

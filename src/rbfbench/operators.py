@@ -124,19 +124,29 @@ COLUMN_KINDS = ("value", "normal", "adjoint")
 class _Pairs:
     """Pairwise geometry of one row group against one column group.
 
-    `d` holds x_i - y_j (shape (m, n, 2)) and `r` its length; the
-    coincident mask `z` (r < COINCIDENT_TOL) and the safe divisor `rs`
-    (r with coincident pairs set to 1) are computed on first use, since
-    plain kernel values need neither. Refuses poles of singular kernels.
+    x_i - y_j is held as two C-contiguous (m, n) planes `dx` and `dy`, with
+    length `r`; `dot(w)` projects it on `w`, whose last axis of length 2
+    broadcasts. The coincident mask `z` (r < COINCIDENT_TOL) and the safe
+    divisor `rs` (r with coincident pairs set to 1, else `r` itself) are
+    computed on first use, since plain kernel values need neither. Refuses
+    poles of singular kernels.
     """
 
     def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str):
-        self.d = X[:, None, :] - Y[None, :, :]
-        self.r = np.sqrt(np.einsum("ijk,ijk->ij", self.d, self.d))
+        self.dx = X[:, :1] - Y[:, 0]
+        self.dy = X[:, 1:] - Y[:, 1]
+        # the rounding of the two-term sum of squares, not hypot's
+        self.r = self.dx * self.dx
+        self.r += self.dy * self.dy
+        np.sqrt(self.r, out=self.r)
         if kernel.singular_at_origin and np.any(self.z):
             raise SingularityError(
                 f"{what}: coincident points hit the pole of kernel {kernel.name}"
             )
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """(x_i - y_j).w: w is (m, 1, 2) per row, (n, 2) per column or (2,)."""
+        return self.dx * w[..., 0] + self.dy * w[..., 1]
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -144,13 +154,14 @@ class _Pairs:
 
     @cached_property
     def rs(self) -> np.ndarray:
-        return np.where(self.z, 1.0, self.r)
+        return np.where(self.z, 1.0, self.r) if np.any(self.z) else self.r
 
 
-# Each block formula reads `f`, the kernel's radial derivatives at the
-# pair radii (phi, phi', ... up to the order `_FORMULAS` lists), and `f0`,
-# the same derivatives at r = 0 when the block has coincident pairs (None
-# otherwise).
+# Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
+# below, d.w = g.dot(w); `g.rs` may be `g.r` itself, so neither is written
+# into), `f`, the kernel's radial derivatives at the pair radii (phi, phi',
+# ... up to the order `_FORMULAS` lists), and `f0`, the same derivatives at
+# r = 0 when the block has coincident pairs (None otherwise).
 
 
 def _value_value(op, g, f, f0, nx, ny):
@@ -158,16 +169,16 @@ def _value_value(op, g, f, f0, nx, ny):
 
 
 def _normal_value(op, g, f, f0, nx, ny):
-    # directional derivative at the field point: phi'(r) (d.n_i)/r
-    proj = np.einsum("ijk,ik->ij", g.d, nx)
+    # directional derivative at the field point: phi'(r) (d.n_x)/r
+    proj = g.dot(nx[:, None])
     out = f[1] * proj / g.rs
     out[g.z] = 0.0
     return out
 
 
 def _value_normal(op, g, f, f0, nx, ny):
-    # directional derivative at the source point: -phi'(r) (d.n_j)/r
-    proj = np.einsum("ijk,jk->ij", g.d, ny)
+    # directional derivative at the source point: -phi'(r) (d.n_y)/r
+    proj = g.dot(ny)
     out = -f[1] * proj / g.rs
     out[g.z] = 0.0
     return out
@@ -177,8 +188,7 @@ def _normal_normal(op, g, f, f0, nx, ny):
     # field-normal derivative of the source-normal derivative; symmetric
     # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
     rs, z = g.rs, g.z
-    px = np.einsum("ijk,ik->ij", g.d, nx)
-    py = np.einsum("ijk,jk->ij", g.d, ny)
+    px, py = g.dot(nx[:, None]), g.dot(ny)
     nn = nx @ ny.T
     _, d1, d2 = f
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
@@ -194,7 +204,7 @@ def _op_value(op, g, f, f0, nx, ny):
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     out = D * (d2 + d1 / rs) + gamma * phi
     if np.any(v):
-        out -= d1 * (g.d @ v) / rs
+        out -= d1 * g.dot(v) / rs
     if f0 is not None:
         out[z] = 2.0 * D * f0[2] + gamma * f0[0]
     return out
@@ -212,13 +222,13 @@ def _lap_derivative(f, rs: np.ndarray) -> np.ndarray:
 
 def _op_normal(op, g, f, f0, nx, ny):
     # L (field) applied to the source-normal column
-    d, rs, z = g.d, g.rs, g.z
+    rs, z = g.rs, g.z
     d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    py = np.einsum("ijk,jk->ij", d, ny)
+    py = g.dot(ny)
     out = -(D * _lap_derivative(f, rs) + gamma * d1) * py / rs
     if np.any(v):
-        vd = d @ v
+        vd = g.dot(v)
         vn = np.broadcast_to(ny @ v, out.shape)
         out += d2 * py * vd / rs**2 + d1 * (vn / rs - py * vd / rs**3)
     if f0 is not None:
@@ -229,13 +239,13 @@ def _op_normal(op, g, f, f0, nx, ny):
 
 def _normal_adjoint(op, g, f, f0, nx, ny):
     # field-normal derivative of the L* image
-    d, rs, z = g.d, g.rs, g.z
+    rs, z = g.rs, g.z
     d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    px = np.einsum("ijk,ik->ij", d, nx)
+    px = g.dot(nx[:, None])
     out = (D * _lap_derivative(f, rs) + gamma * d1) * px / rs
     if np.any(v):
-        vd = d @ v
+        vd = g.dot(v)
         vn = np.broadcast_to((nx @ v)[:, None], out.shape)
         out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
     if f0 is not None:
@@ -246,14 +256,14 @@ def _normal_adjoint(op, g, f, f0, nx, ny):
 
 def _op_adjoint(op, g, f, f0, nx, ny):
     # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2
-    d, rs, z = g.d, g.rs, g.z
+    rs, z = g.rs, g.z
     phi, d1, d2, d3, d4 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     bilap = d4 + 2.0 * d3 / rs - d2 / rs**2 + d1 / rs**3
     lap = d2 + d1 / rs
     out = D * D * bilap + 2.0 * gamma * D * lap + gamma * gamma * phi
     if np.any(v):
-        vd = d @ v
+        vd = g.dot(v)
         vv = float(v @ v)
         out -= d2 * vd**2 / rs**2 + d1 * (vv / rs - vd**2 / rs**3)
     if f0 is not None:

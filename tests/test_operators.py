@@ -373,6 +373,45 @@ def test_transposed_blocks_match_single_block_builds(kern):
     assert np.array_equal(A[6:, 6:], mixed_normal_matrix(kern, Y, Y, n, n))
 
 
+def test_pair_planes_keep_the_bits_of_interleaved_differences():
+    # the (m, n, 2) difference array and its einsum sums are the reference:
+    # the dx/dy planes must give the same radii and projections bit for bit
+    from rbfbench.operators import COINCIDENT_TOL, _Pairs
+
+    rng = np.random.default_rng(9)
+    X, Y = rng.uniform(-1, 1, (40, 2)), rng.uniform(-1, 1, (33, 2))
+    Y[:4] = X[:4]
+    nx, ny = rng.normal(size=(40, 2)), rng.normal(size=(33, 2))
+    v = np.array([0.7, -0.3])
+    kern = build_kernel("gaussian", c=0.9)
+    g = _Pairs(kern, X, Y, "test")
+    d = X[:, None, :] - Y[None, :, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    assert g.dx.flags.c_contiguous and g.dy.flags.c_contiguous
+    assert np.array_equal(g.dx, d[..., 0]) and np.array_equal(g.dy, d[..., 1])
+    assert np.array_equal(g.r, r)
+    assert np.count_nonzero(g.z) == 4
+    assert np.array_equal(g.rs, np.where(r < COINCIDENT_TOL, 1.0, r))
+    assert np.array_equal(g.dot(nx[:, None]), np.einsum("ijk,ik->ij", d, nx))
+    assert np.array_equal(g.dot(ny), np.einsum("ijk,jk->ij", d, ny))
+    assert np.array_equal(g.dot(v), np.einsum("ijk,k->ij", d, v))
+    # with no coincident pair the safe divisor is the radii, not a copy
+    apart = _Pairs(kern, X[4:], Y[4:], "test")
+    assert apart.rs is apart.r
+
+
+def test_operators_builds_no_interleaved_difference_array():
+    # an (m, n, 2) difference array and einsum over its axis of length 2
+    # cost about three times the dx/dy planes of operators._Pairs
+    path = SRC / "operators.py"
+    offenders = [
+        f"{path.name}:{lineno}"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "einsum" in line or "[:, None, :] -" in line
+    ]
+    assert offenders == []
+
+
 def test_collocation_matrix_rejects_unknown_groups():
     kern = build_kernel("mq", c=1.0)
     pts = np.zeros((1, 2))

@@ -40,6 +40,20 @@ def test_script_main_runs(name, headers, n_lines, capsys):
     assert len(lines) == n_lines
 
 
+def test_gibbs_demo_least_squares_overshoots_less(capsys):
+    # the overshoot is the excursion outside the step's range [0, 1], not
+    # the error at the jump, which is about 0.5 for any smooth fit
+    _run_main("gibbs_stress_demo")
+    overshoot = {
+        label.strip(): float(value)
+        for label, value in (
+            line.split(":") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("max overshoot")
+        )
+    }
+    assert 0.0 < overshoot["max overshoot, least squares"] < overshoot["max overshoot, interpolation"]
+
+
 def test_perfbench_replay_runs_every_problem_method_pair(monkeypatch):
     # the traced replay imports library functions by name; a removed or
     # renamed one fails here, not only in the separate perfbench suite
