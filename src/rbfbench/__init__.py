@@ -33,6 +33,7 @@ from .operators import (
     OperatorSpec,
     Term,
     adjoint_of,
+    collocation_matrices,
     collocation_matrix,
     convection_diffusion,
     helmholtz,

@@ -104,18 +104,6 @@ def fit_particular(
     return Expansion([Term(op, phi, [("value", centers)], fit.solve(f))], fit.cond_est)
 
 
-def hermite_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
-    """Boundary collocation matrix of the Hermite expansion.
-
-    Rows: field values at Dirichlet nodes, then field-normal derivatives
-    at Neumann nodes. Columns: kernel sources at Dirichlet nodes, then
-    source-normal derivative sources at Neumann nodes. Symmetric for any
-    radial kernel.
-    """
-    groups = boundary_groups(nodes)
-    return collocation_matrix(None, kernel, groups, groups)
-
-
 def complementary_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
     """Swapped traces: normal derivatives at Dirichlet nodes, values at Neumann nodes."""
     return collocation_matrix(None, kernel, _complementary_groups(nodes), boundary_groups(nodes))
@@ -124,14 +112,16 @@ def complementary_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarr
 def assemble_symmetric_system(
     nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel
 ) -> np.ndarray:
-    """Validate the kernel against the operator, then build the trace matrix."""
+    """Validate the kernel against the operator, then build the boundary trace
+    matrix (`boundary_groups` rows and columns: symmetric for any radial kernel)."""
     res = homogeneous_residual(op, u_sharp)
     if res > GENERAL_SOLUTION_TOL:
         raise InvalidKernelError(
             f"kernel {u_sharp.name} is not a homogeneous solution of "
             f"{op.kind} (residual {res:.2e})"
         )
-    return hermite_trace_matrix(nodes, u_sharp)
+    groups = boundary_groups(nodes)
+    return collocation_matrix(None, u_sharp, groups, groups)
 
 
 def boundary_rhs(

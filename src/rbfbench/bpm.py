@@ -6,7 +6,9 @@ the order-m chain kernel (L{u_m} = u_(m-1)); because repeated operator
 application collapses any order onto the base kernel, every order is
 solved with one shared matrix Q, factored once. Orders are solved top
 down: the truncation order first (its own tail set to zero), each lower
-order subtracting the traces of the already-solved tail.
+order subtracting the traces of the already-solved tail. The chain
+kernels of all orders are evaluated together: each point-set pair gets
+one pairwise geometry and one Bessel table for every order.
 """
 
 from __future__ import annotations
@@ -16,17 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bkm import (
-    BoundaryData,
-    assemble_symmetric_system,
-    boundary_groups,
-    hermite_trace_matrix,
-)
+from .bkm import BoundaryData, assemble_symmetric_system, boundary_groups
 from .errors import ConfigError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import Factor, factor
-from .operators import Expansion, OperatorSpec, Term
+from .operators import Expansion, OperatorSpec, Term, collocation_matrices
 
 #: step for the fallback central-difference gradient of source-term chains
 _FD_STEP = 1e-6
@@ -113,12 +110,19 @@ def solve_bpm(
         raise ConfigError(
             f"kernel chain has {len(kernel_chain)} entries; order {M} needs {M + 1}"
         )
+    for m, kern in enumerate(kernel_chain):
+        if kern.order != m or kern.k != kernel_chain[0].k:
+            raise ConfigError(
+                f"kernel chain entry {m} is {kern.name} at k = {kern.k:g}; "
+                f"it must have order {m} and entry 0's k = {kernel_chain[0].k:g}"
+            )
     if q is None:
         q = assemble_Q(nodes, problem.operator, kernel_chain[0])
 
-    # trace matrices of every chain kernel; index k maps coefficients of an
-    # order-(n+k) expansion to its boundary traces after n operator powers
-    trace = [q.matrix] + [hermite_trace_matrix(nodes, kernel_chain[k]) for k in range(1, M + 1)]
+    # trace matrices of every chain kernel, in one pass; index m maps
+    # coefficients of an order-(n+m) expansion to its traces after n powers
+    cols = boundary_groups(nodes)
+    trace = [q.matrix] + collocation_matrices(None, kernel_chain[1 : M + 1], cols, cols)
 
     xd, xn = nodes.dirichlet_points, nodes.neumann_points
     nn = nodes.neumann_normals
@@ -140,6 +144,5 @@ def solve_bpm(
         rhs = rhs - trace[m] @ betas[m]
     betas[0] = q.solve(rhs)
 
-    cols = boundary_groups(nodes)
     terms = [Term(problem.operator, kern, cols, beta) for kern, beta in zip(kernel_chain, betas)]
     return BpmSolution(terms, q.cond_est)

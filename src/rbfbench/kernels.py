@@ -13,7 +13,9 @@ Each family is one derivative generator: called on an array of radii,
 it yields phi, phi', phi'', ... in turn, up to the family's top order,
 and computes the subexpressions the orders share (the MQ square root,
 the Gaussian exponential, the Bessel values) once per call. Orders past
-the last one read are never evaluated.
+the last one read are never evaluated. `derivs_upto_many` evaluates a
+list of kernels at the same radii; the members of one Helmholtz chain
+there share one Bessel table J_0 ... J_M.
 
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
@@ -60,21 +62,9 @@ class RadialKernel:
     top_order: int = 2
 
     def derivs_upto(self, r, n: int) -> tuple:
-        """(phi, phi', ..., n-th radial derivative) at r >= 0, from one generator pass.
-
-        Scalar r gives a tuple of floats, array r a tuple of arrays.
-        """
-        if not 0 <= n <= self.top_order:
-            raise UnsupportedError(f"kernel {self.name} has no order-{n} radial derivative")
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(arr < 0):
-            raise ValueError("radial distance must be nonnegative")
-        if self.singular_at_origin and np.any(arr == 0.0):
-            raise SingularityError(f"kernel {self.name} is singular at r = 0")
-        out = tuple(islice(self.radial(arr), n + 1))
-        return tuple(float(v[0]) for v in out) if scalar else out
+        """(phi, phi', ..., n-th radial derivative) at r >= 0, from one generator pass:
+        floats for scalar r, arrays for array r."""
+        return derivs_upto_many([self], r, n)[0]
 
     def deriv(self, r, order: int = 0):
         return self.derivs_upto(r, order)[order]
@@ -98,6 +88,41 @@ class RadialKernel:
     @property
     def name(self) -> str:
         return self.label or self.family
+
+
+def derivs_upto_many(kernels, r, n: int) -> list:
+    """`[kernel.derivs_upto(r, n) for kernel in kernels]`, bit for bit, in one pass.
+
+    The members of one Helmholtz chain (one k) read one Bessel table J_0 ...
+    J_M, M their highest order, whose orders `_bessel_table` computes the
+    same way whatever M is; every other kernel runs its own generator.
+    """
+    arr = np.asarray(r, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any(arr < 0):
+        raise ValueError("radial distance must be nonnegative")
+    tables = {}  # Helmholtz chain wavenumber -> highest order, then its table
+    for kern in kernels:
+        if not 0 <= n <= kern.top_order:
+            raise UnsupportedError(f"kernel {kern.name} has no order-{n} radial derivative")
+        if kern.singular_at_origin and np.any(arr == 0.0):
+            raise SingularityError(f"kernel {kern.name} is singular at r = 0")
+        if kern.family == "higher_order" and kern.k > 0:  # the Laplace chain has k = 0
+            tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
+    if tables:
+        nz = arr > 0.0
+        q = arr[nz]
+        tables = {k: _bessel_table(k * q, m) for k, m in tables.items()}
+    out = []
+    for kern in kernels:
+        if kern.family == "higher_order" and kern.k in tables:
+            gen = _chain_derivs(kern.k, kern.order, nz, q, tables[kern.k])
+        else:
+            gen = kern.radial(arr)
+        vals = tuple(islice(gen, n + 1))
+        out.append(tuple(float(v[0]) for v in vals) if scalar else vals)
+    return out
 
 
 def _piecewise(mask: np.ndarray, inside, outside) -> np.ndarray:
@@ -521,19 +546,23 @@ def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
     return table
 
 
-def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
+def _chain_derivs(k: float, m: int, nz, q, J) -> Iterator[np.ndarray]:
+    """phi, phi', phi'' of the order-m chain kernel, q = r[nz] the positive
+    radii and J a Bessel table at k q reaching at least order m."""
     a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
+    qm = q**m
+    yield _piecewise(nz, a * qm * J[m], 0.0)
+    yield _piecewise(nz, a * k * qm * J[m - 1], 0.0)
+    jm2 = J[m - 2] if m >= 2 else -J[1]  # J_(-1) = -J_1
     d2_limit = a * k if m == 1 else 0.0
+    yield _piecewise(nz, a * (k * q ** (m - 1) * J[m - 1] + k * k * qm * jm2), d2_limit)
 
+
+def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     def radial(r):
         nz = r > 0.0
         q = r[nz]
-        qm = q**m
-        J = _bessel_table(k * q, m)
-        yield _piecewise(nz, a * qm * J[m], 0.0)
-        yield _piecewise(nz, a * k * qm * J[m - 1], 0.0)
-        jm2 = J[m - 2] if m >= 2 else -J[1]  # J_(-1) = -J_1
-        yield _piecewise(nz, a * (k * q ** (m - 1) * J[m - 1] + k * k * qm * jm2), d2_limit)
+        yield from _chain_derivs(k, m, nz, q, _bessel_table(k * q, m))
 
     return RadialKernel(
         "higher_order", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"

@@ -6,16 +6,17 @@ constant coefficients: the 2D Laplacian (D=1, gamma=0), Helmholtz
 (D, velocity v). The adjoint-sign variant L* flips the velocity.
 
 Every kernel functional of every scheme is evaluated by one function,
-`collocation_matrix`: rows are field values, field-normal derivatives or
-operator images L, columns are kernels, source-normal derivatives or
-adjoint images L*, and each of the nine (row, column) pairs is one
-analytic block formula, up to L L* (which needs third and fourth radial
-derivatives). Coincident field/source pairs (r below 1e-8) are patched
-with the analytic limits; for smooth radial kernels the gradient at the
-origin is the zero vector and the Laplacian limit is 2*phi''(0). Every
-solved field of every scheme is an `Expansion`, a sum of kernel
-expansions evaluated through the same function, and the general-solution
-check `homogeneous_residual` is one call of it too.
+`collocation_matrices` (any number of kernels from one pairwise geometry
+per block; `collocation_matrix` is its one-kernel case): rows are field
+values, field-normal derivatives or operator images L, columns are
+kernels, source-normal derivatives or adjoint images L*, and each of the
+nine (row, column) pairs is one analytic block formula, up to L L* (which
+needs third and fourth radial derivatives). Coincident field/source
+pairs (r below 1e-8) are patched with the analytic limits; for smooth
+radial kernels the gradient at the origin is the zero vector and the
+Laplacian limit is 2*phi''(0). Every solved field of every scheme is an
+`Expansion`, a sum of kernel expansions evaluated through the same
+function, and the check `homogeneous_residual` is one call of it too.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import KernelSmoothnessError, ParameterError, SingularityError
-from .kernels import RadialKernel
+from .kernels import RadialKernel, derivs_upto_many
 
 #: below this separation a field/source pair is treated as coincident
 COINCIDENT_TOL = 1e-8
@@ -302,25 +304,28 @@ def _group(group, kinds):
     return kind, arrays[0], arrays[1] if kind == "normal" else None
 
 
-def _block(op, kernel, row, col, shared: dict) -> np.ndarray:
+def _block(op, kernels, pole, row, col, shared: dict) -> list:
+    # one geometry (refusing coincident pairs if `pole` is singular) and one
+    # derivative pass serve every kernel; the formula runs once per kernel
     (rk, X, nx), (ck, Y, ny) = row, col
     if not (len(X) and len(Y)):
-        return np.empty((len(X), len(Y)))
+        return [np.empty((len(X), len(Y))) for _ in kernels]
     formula, order = _FORMULAS[rk, ck]
     if order > 2:
-        _require_fourth_order(kernel, order)
-    g = _Pairs(kernel, X, Y, f"{rk} rows x {ck} columns")
-    f = shared.pop((id(Y), id(X), order), None)
-    if f is not None:
-        f = tuple(a.T for a in f)
+        for kernel in kernels:
+            _require_fourth_order(kernel, order)
+    g = _Pairs(pole, X, Y, f"{rk} rows x {ck} columns")
+    fs = shared.pop((id(Y), id(X), order), None)
+    if fs is not None:
+        fs = [tuple(a.T for a in f) for f in fs]
     else:
         # plain values are exact at any separation; derivatives are read at
         # the safe radii, whose coincident entries the formulas overwrite
-        f = kernel.derivs_upto(g.rs if order else g.r, order)
+        fs = derivs_upto_many(kernels, g.rs if order else g.r, order)
         if (id(X), id(Y), order) in shared:
-            shared[id(X), id(Y), order] = f
-    f0 = kernel.derivs_upto(0.0, order) if order and np.any(g.z) else None
-    return formula(op, g, f, f0, nx, ny)
+            shared[id(X), id(Y), order] = fs
+    f0s = derivs_upto_many(kernels, 0.0, order) if order and np.any(g.z) else [None] * len(kernels)
+    return [formula(op, g, f, f0, nx, ny) for f, f0 in zip(fs, f0s)]
 
 
 def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:
@@ -334,6 +339,12 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
     stacked in list order; `op` may be None when no block involves an
     operator. Empty groups contribute no rows or columns.
     """
+    return collocation_matrices(op, [kernel], rows, cols)[0]
+
+
+def collocation_matrices(op: OperatorSpec | None, kernels, rows, cols) -> list:
+    """`[collocation_matrix(op, kernel, rows, cols) for kernel in kernels]`, bit
+    for bit, from one pairwise geometry and one derivative pass per block."""
     rows = [_group(g, ROW_KINDS) for g in rows]
     cols = [_group(g, COLUMN_KINDS) for g in cols]
     # The radii of Y against X are those of X against Y transposed, bit for
@@ -341,19 +352,21 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
     # one built leaves its kernel derivatives in `shared` for the second.
     keys = {(id(X), id(Y), _FORMULAS[rk, ck][1]) for rk, X, _ in rows for ck, Y, _ in cols}
     shared = {k: None for k in keys if k[0] != k[1] and (k[1], k[0], k[2]) in keys}
-    blocks = [[_block(op, kernel, row, col, shared) for col in cols] for row in rows]
+    pole = next((kern for kern in kernels if kern.singular_at_origin), kernels[0])
+    blocks = [[_block(op, kernels, pole, row, col, shared) for col in cols] for row in rows]
     if len(rows) == len(cols) == 1:
         return blocks[0][0]  # a lone block is returned as it is, not copied
-    # the output is allocated after the blocks: allocating it first made
+    # the outputs are allocated after the blocks: allocating first made
     # large assemblies measurably slower
     heights = [len(X) for _, X, _ in rows]
     widths = [len(Y) for _, Y, _ in cols]
-    out = np.empty((sum(heights), sum(widths)))
+    outs = [np.empty((sum(heights), sum(widths))) for _ in kernels]
     for i, row in enumerate(blocks):
-        for j, block in enumerate(row):
+        for j, per_kernel in enumerate(row):
             r0, c0 = sum(heights[:i]), sum(widths[:j])
-            out[r0 : r0 + heights[i], c0 : c0 + widths[j]] = block
-    return out
+            for out, block in zip(outs, per_kernel):
+                out[r0 : r0 + heights[i], c0 : c0 + widths[j]] = block
+    return outs
 
 
 class Term(NamedTuple):
@@ -377,11 +390,14 @@ class Expansion:
     cond_est: float
 
     def traces(self, rows) -> np.ndarray:
-        """The field under the collocation row groups `rows`."""
-        return sum(
-            collocation_matrix(t.op, t.kernel, rows, t.columns) @ t.coefficients
-            for t in self.terms
-        )
+        """The field under the collocation row groups `rows`, summed term by term;
+        consecutive terms on one `op` and one `columns` object share one pass."""
+        total = 0
+        for _, run in groupby(self.terms, key=lambda t: (t.op, id(t.columns))):
+            run = list(run)
+            mats = collocation_matrices(run[0].op, [t.kernel for t in run], rows, run[0].columns)
+            total = sum((a @ t.coefficients for a, t in zip(mats, run)), total)
+        return total
 
     def evaluate(self, points) -> np.ndarray:
         return self.traces([("value", points)])

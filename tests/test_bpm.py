@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from rbfbench import bkm, bpm
-from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
+from rbfbench import bkm, bpm, kernels, operators
+from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid, run_benchmark
 from rbfbench.errors import ConfigError
 from rbfbench.geometry import DomainSpec, generate_nodes, partition_boundary
-from rbfbench.kernels import build_kernel, higher_order_solution
-from rbfbench.operators import Expansion, Term, helmholtz
+from rbfbench.kernels import MAX_CHAIN_ORDER, build_kernel, higher_order_solution
+from rbfbench.operators import (
+    Expansion,
+    Term,
+    collocation_matrices,
+    collocation_matrix,
+    helmholtz,
+)
 from rbfbench.problems import get_problem
 
 DISK = DomainSpec("unit_disk")
@@ -195,3 +201,91 @@ def test_insufficient_chain_rejected():
     prob = bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=3)
     with pytest.raises(ConfigError):
         bpm.solve_bpm(nodes, prob, chain_for(p.operator, 2))
+
+
+def test_chain_entries_must_match_their_order_and_wavenumber():
+    p, nodes, bc = benchmark_setup()
+    prob = bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=3)
+    swapped = chain_for(p.operator, 3)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(ConfigError, match="entry 1"):
+        bpm.solve_bpm(nodes, prob, swapped)
+    other_k = chain_for(p.operator, 0) + chain_for(helmholtz(2.0 * p.operator.k), 3)[1:]
+    with pytest.raises(ConfigError, match="entry 1"):
+        bpm.solve_bpm(nodes, prob, other_k)
+
+
+def shifted_sine_setup(k, bc_rule, n_boundary=24):
+    # u = sin(k x) + 1/k^2 solves Lap u + k^2 u = 1, so L^j{1} = k^(2j)
+    # and the whole chain carries weight at any k
+    op = helmholtz(k)
+    nodes = partition_boundary(generate_nodes(DISK, n_boundary, 0, seed=7), bc_rule)
+    exact = lambda q: np.sin(k * q[:, 0]) + 1.0 / k**2
+    grad = lambda q: np.column_stack([k * np.cos(k * q[:, 0]), np.zeros(len(q))])
+    bc = bkm.BoundaryData.from_callables(nodes, exact, grad)
+    fch = tuple(
+        (lambda j: (lambda q: np.full(len(np.atleast_2d(q)), k ** (2 * j))))(j)
+        for j in range(MAX_CHAIN_ORDER)
+    )
+    gch = tuple((lambda q: np.zeros_like(np.atleast_2d(q))) for _ in range(MAX_CHAIN_ORDER))
+    prob = bpm.MrmProblem(operator=op, bc=bc, f_chain=fch, order=MAX_CHAIN_ORDER, f_grad_chain=gch)
+    return op, nodes, prob
+
+
+@pytest.mark.parametrize("bc_rule", [((0.0, 0.5),), ((0.0, 1.0),)], ids=["mixed", "dirichlet"])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+def test_shared_chain_pass_is_bit_identical_to_one_kernel_calls(k, bc_rule):
+    # k = 2 and 3 push x = k r past the series cutover on the unit disk
+    op, nodes, prob = shifted_sine_setup(k, bc_rule)
+    chain = chain_for(op, MAX_CHAIN_ORDER)
+    groups = bkm.boundary_groups(nodes)
+    rng = np.random.default_rng(5)
+    probes = rng.uniform(-0.7, 0.7, size=(40, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 40)
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    probe_rows = [("value", probes), ("normal", probes, normals)]
+    for rows in (groups, probe_rows):
+        shared = collocation_matrices(op, chain, rows, groups)
+        assert len(shared) == len(chain)
+        for kern, got in zip(chain, shared):
+            assert np.array_equal(got, collocation_matrix(op, kern, rows, groups)), kern.name
+
+    sol = bpm.solve_bpm(nodes, prob, chain)
+    assert np.all(np.isfinite(sol.beta_by_order[-1]))
+    singles = [Expansion([t], sol.cond_est) for t in sol.terms]
+    assert np.array_equal(sol.evaluate(probes), sum(e.evaluate(probes) for e in singles))
+    pts, nrm = nodes.boundary, nodes.normals
+    assert np.array_equal(
+        sol.normal_derivative(pts, nrm), sum(e.normal_derivative(pts, nrm) for e in singles)
+    )
+
+
+def test_bpm_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatch):
+    # order 3 on the Dirichlet-only disk: one pairwise geometry and one
+    # Bessel table per (rows, columns) pair serve every chain order
+    counts = {"pairs": 0, "tables": 0}
+    pairs_init, table = operators._Pairs.__init__, kernels._bessel_table
+
+    def counting_init(self, *args):
+        counts["pairs"] += 1
+        pairs_init(self, *args)
+
+    def counting_table(x, m):
+        counts["tables"] += bool(np.size(x))
+        return table(x, m)
+
+    monkeypatch.setattr(operators._Pairs, "__init__", counting_init)
+    monkeypatch.setattr(kernels, "_bessel_table", counting_table)
+    config = {
+        "problems": ["helmholtz_disk_inhom"],
+        "methods": ["bpm"],
+        "n_boundary": 32,
+        "n_interior": 0,
+        "bpm_order": 3,
+    }
+    report = run_benchmark(config)
+    assert report.errors == [] and len(report.rows) == 1
+    # assembly of Q 1, its kernel check 2, all chain traces 1, probes 1
+    assert counts["pairs"] <= 5
+    # all chain traces 1, probes 1 (the order-0 kernel reads j0 directly)
+    assert counts["tables"] <= 2

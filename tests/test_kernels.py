@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -10,12 +11,15 @@ from scipy import special
 from conftest import central_d1, radial_fd_laplacian
 from rbfbench.errors import ParameterError, SingularityError, UnsupportedError
 from rbfbench.kernels import (
+    _SERIES_CUTOVER,
     CATALOG,
+    MAX_CHAIN_ORDER,
     _bessel_table,
     augment_r2m,
     build_kernel,
     check_regulation,
     default_shape_parameter,
+    derivs_upto_many,
     higher_order_solution,
     probe_singular_at_origin,
     shape_substitute,
@@ -417,6 +421,43 @@ def test_bessel_table_matches_reference_fixture():
             err = abs(value - want)
             assert err <= 1e-15 * max(1.0, abs(want)), f"j{n}({x})"
             assert err <= 1e-13 * abs(want), f"j{n}({x})"
+
+
+def test_bessel_table_prefix_is_the_shorter_table():
+    # the members of one chain share the table of their highest order, so
+    # orders 0..m of any longer table must be the bits of the order-m table
+    x = np.concatenate(
+        [
+            [0.0, 1e-8],
+            np.linspace(0.1, 1.9, 10),
+            [np.nextafter(_SERIES_CUTOVER, 0.0), _SERIES_CUTOVER],
+            np.linspace(2.1, 40.0, 12),
+        ]
+    )
+    for M in range(MAX_CHAIN_ORDER + 1):
+        longer = _bessel_table(x, M)
+        for m in range(M + 1):
+            shorter = _bessel_table(x, m)
+            assert len(shorter) == m + 1
+            for n, (a, b) in enumerate(zip(longer[: m + 1], shorter)):
+                assert np.array_equal(a, b), f"J_{n} of the order-{M} and order-{m} tables"
+
+
+def test_derivs_upto_many_matches_each_generator_bitwise():
+    # two Helmholtz chains (orders out of order), a Laplace chain kernel and
+    # catalog kernels in one pass; each must read as its own generator
+    kernels = (
+        [build_kernel("helmholtz_gs_2d", k=2.0)]
+        + [higher_order_solution(helmholtz(k), m) for k in (2.0, 0.5) for m in (3, 1, 4)]
+        + [higher_order_solution(laplace(), 2), build_kernel("mq", c=0.7)]
+    )
+    r = np.concatenate([[0.0], np.linspace(1e-3, 3.0, 50)])
+    for n in range(3):
+        for kern, many in zip(kernels, derivs_upto_many(kernels, r, n)):
+            own = tuple(itertools.islice(kern.radial(r), n + 1))
+            assert len(many) == n + 1
+            assert all(np.array_equal(a, b) for a, b in zip(many, own)), kern.name
+    assert derivs_upto_many(kernels, 0.0, 2) == [kern.derivs_upto(0.0, 2) for kern in kernels]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
