@@ -173,13 +173,10 @@ class BenchConfig:
         return BenchConfig.from_dict(raw)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _integer(key: str, value) -> int:
     # integers are taken as they are: a huge one has no float form
-    if not (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -220,10 +217,6 @@ def _kernel_spec(spec) -> tuple:
             raise ConfigError(
                 f"kernel {family!r} takes no parameter {name!r}; "
                 f"allowed: {', '.join(allowed) or 'none'}"
-            )
-        if not _is_real(value):
-            raise ConfigError(
-                f"kernel {family!r} parameter {name} must be a finite number, got {value!r}"
             )
         try:
             check_parameter(family, name, value)

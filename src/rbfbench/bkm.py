@@ -7,6 +7,8 @@ Dirichlet boundary nodes contribute plain kernel columns, Neumann nodes
 contribute source-normal derivative columns with a sign that makes the
 collocation matrix exactly symmetric. Interior nodes never enter the
 boundary solve; the solution evaluates the expansion wherever asked.
+The direct variant is the indirect solve followed by its own product
+with the swapped (complementary) trace matrix.
 """
 
 from __future__ import annotations
@@ -74,15 +76,6 @@ def boundary_groups(nodes: NodeSet) -> list:
     ]
 
 
-def _complementary_groups(nodes: NodeSet) -> list:
-    """The swapped traces: normal derivatives at Dirichlet nodes, then
-    values at Neumann nodes."""
-    return [
-        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
-        ("value", nodes.neumann_points),
-    ]
-
-
 def fit_particular(
     nodes: NodeSet, f_samples, op: OperatorSpec, phi: RadialKernel
 ) -> Expansion:
@@ -104,11 +97,6 @@ def fit_particular(
     return Expansion([Term(op, phi, [("value", centers)], fit.solve(f))], fit.cond_est)
 
 
-def complementary_trace_matrix(nodes: NodeSet, kernel: RadialKernel) -> np.ndarray:
-    """Swapped traces: normal derivatives at Dirichlet nodes, values at Neumann nodes."""
-    return collocation_matrix(None, kernel, _complementary_groups(nodes), boundary_groups(nodes))
-
-
 def assemble_symmetric_system(
     nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel
 ) -> np.ndarray:
@@ -124,31 +112,6 @@ def assemble_symmetric_system(
     return collocation_matrix(None, u_sharp, groups, groups)
 
 
-def boundary_rhs(
-    nodes: NodeSet, bc: BoundaryData, particular: Optional[Expansion] = None
-) -> np.ndarray:
-    """Right-hand side for the symmetric system: boundary data minus
-    particular-solution traces (value rows first, then normal rows)."""
-    rhs = np.concatenate([bc.dirichlet_values, bc.neumann_values])
-    if particular is not None:
-        rhs -= particular.traces(boundary_groups(nodes))
-    return rhs
-
-
-def _maybe_fit_particular(
-    nodes: NodeSet, f_samples, op: OperatorSpec, phi: Optional[RadialKernel]
-) -> Optional[Expansion]:
-    # Homogeneous problems bypass the fit entirely; no interior nodes needed.
-    if f_samples is None:
-        return None
-    f = np.asarray(f_samples, dtype=float)
-    if not np.any(f):
-        return None
-    if phi is None:
-        raise ValueError("inhomogeneous problem needs a fitting kernel phi")
-    return fit_particular(nodes, f, op, phi)
-
-
 def solve_indirect(
     nodes: NodeSet,
     op: OperatorSpec,
@@ -157,15 +120,26 @@ def solve_indirect(
     phi: Optional[RadialKernel],
     u_sharp: RadialKernel,
 ) -> Expansion:
-    """The homogeneous boundary expansion, then the particular fit's terms."""
+    """The homogeneous boundary expansion, then the particular fit's terms.
+
+    A homogeneous problem (no source samples, or all zero) skips the fit
+    and needs no interior nodes.
+    """
     bc.check_counts(nodes)
-    particular = _maybe_fit_particular(nodes, f_samples, op, phi)
+    particular = None
+    if f_samples is not None and np.any(np.asarray(f_samples, dtype=float)):
+        if phi is None:
+            raise ValueError("inhomogeneous problem needs a fitting kernel phi")
+        particular = fit_particular(nodes, f_samples, op, phi)
     A = assemble_symmetric_system(nodes, op, u_sharp)
-    rhs = boundary_rhs(nodes, bc, particular)
+    groups = boundary_groups(nodes)
+    rhs = np.concatenate([bc.dirichlet_values, bc.neumann_values])
+    if particular is not None:
+        rhs -= particular.traces(groups)
     # ill-conditioning is reported, not refused: boundary-knot matrices
     # routinely pass 1e16 while the collocated field stays accurate
     lu = factor(A, "boundary knot")
-    homogeneous = Term(op, u_sharp, boundary_groups(nodes), lu.solve(rhs))
+    homogeneous = Term(op, u_sharp, groups, lu.solve(rhs))
     terms = [homogeneous] + (particular.terms if particular is not None else [])
     return Expansion(terms, lu.cond_est)
 
@@ -180,22 +154,21 @@ def solve_direct(
 ) -> RecoveredTraces:
     """Recover the complementary boundary traces without exposing coefficients.
 
-    Solves the same symmetric system for the prescribed data, then maps
-    the coefficients through the swapped trace matrix; particular-solution
-    traces shift both sides when the problem is inhomogeneous.
+    Runs the indirect solve, then maps its homogeneous coefficients
+    through the swapped trace matrix (normal derivatives at Dirichlet
+    nodes, values at Neumann nodes), built here rather than read back
+    through `Expansion.traces`; the particular terms of an inhomogeneous
+    problem add their own swapped traces.
     """
-    bc.check_counts(nodes)
-    particular = _maybe_fit_particular(nodes, f_samples, op, phi)
-    A = assemble_symmetric_system(nodes, op, u_sharp)
-    B = complementary_trace_matrix(nodes, u_sharp)
-    rhs = boundary_rhs(nodes, bc, particular)
-    lu = factor(A, "boundary knot")
-    traces = B @ lu.solve(rhs)
-    if particular is not None:
-        traces += particular.traces(_complementary_groups(nodes))
+    solved = solve_indirect(nodes, op, bc, f_samples, phi, u_sharp)
+    homogeneous, particular = solved.terms[0], solved.terms[1:]
+    rows = [
+        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
+        ("value", nodes.neumann_points),
+    ]
+    B = collocation_matrix(None, u_sharp, rows, homogeneous.columns)
+    traces = B @ homogeneous.coefficients
+    if particular:
+        traces += Expansion(particular, solved.cond_est).traces(rows)
     L_D = len(nodes.dirichlet_idx)
-    return RecoveredTraces(
-        neumann_at_dirichlet=traces[:L_D],
-        dirichlet_at_neumann=traces[L_D:],
-        cond_est=lu.cond_est,
-    )
+    return RecoveredTraces(traces[:L_D], traces[L_D:], solved.cond_est)

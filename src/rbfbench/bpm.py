@@ -128,21 +128,19 @@ def solve_bpm(
     nn = nodes.neumann_normals
 
     betas: list = [None] * (M + 1)
-    for n in range(M, 0, -1):
-        rhs = np.concatenate(
-            [
-                np.asarray(problem.f_chain[n - 1](xd), dtype=float),
-                problem.chain_normal_derivative(n - 1, xn, nn),
-            ]
-        )
+    for n in range(M, -1, -1):
+        if n:
+            rhs = np.concatenate(
+                [
+                    np.asarray(problem.f_chain[n - 1](xd), dtype=float),
+                    problem.chain_normal_derivative(n - 1, xn, nn),
+                ]
+            )
+        else:
+            rhs = np.concatenate([problem.bc.dirichlet_values, problem.bc.neumann_values])
         for m in range(n + 1, M + 1):
-            rhs -= trace[m - n] @ betas[m]
+            rhs = rhs - trace[m - n] @ betas[m]
         betas[n] = q.solve(rhs)
-
-    rhs = np.concatenate([problem.bc.dirichlet_values, problem.bc.neumann_values])
-    for m in range(1, M + 1):
-        rhs = rhs - trace[m] @ betas[m]
-    betas[0] = q.solve(rhs)
 
     terms = [Term(problem.operator, kern, cols, beta) for kern, beta in zip(kernel_chain, betas)]
     return BpmSolution(terms, q.cond_est)

@@ -26,6 +26,7 @@ for test determinism.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
@@ -342,11 +343,13 @@ FAMILY_PARAMETERS = {
 
 
 def check_parameter(family: str, name: str, value) -> float:
-    """`value` as a float if it lies in the range of `family`'s parameter `name`."""
+    """`value` as a float if it is a real number (not a bool) in the range of
+    `family`'s parameter `name`."""
     bound = FAMILY_PARAMETERS[family][name]
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        ok = math.isfinite(value) and (value > 0 or (value == 0 and bound == ">= 0"))
-    except (TypeError, OverflowError):
+        ok = real and math.isfinite(value) and (value > 0 or (value == 0 and bound == ">= 0"))
+    except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
         raise ParameterError(
@@ -410,9 +413,9 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
 
     With c > 0 the substituted kernel is evaluated at arguments >= c,
     so singular bases become smooth at the origin. c = 0 is the identity.
+    c takes the MQ shape parameter's range.
     """
-    if c < 0:
-        raise ParameterError(f"shape parameter c must be nonnegative, got {c}")
+    c = check_parameter("mq", "c", c)
     label = f"{kernel.name}+shift(c={c:g})"
     if c == 0.0:
         return replace(kernel, family="substituted", label=label)
@@ -451,8 +454,8 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
 
 def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
     """Multiply a kernel by r^(2m) to tame its origin behavior."""
-    if m < 0:
-        raise ParameterError(f"augmentation order m must be nonnegative, got {m}")
+    if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0):
+        raise ParameterError(f"augmentation order m must be a nonnegative integer, got {m!r}")
     label = f"r^{2 * m} * {base.name}"
     if m == 0:
         return replace(base, family="augmented", m=0, label=label)

@@ -43,7 +43,7 @@ class OverdeterminedSystem:
         if M < N or N < 1:
             raise ShapeError(f"system is {M}x{N}; need at least as many rows as columns")
         if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.b))):
-            raise ValueError("system entries must be finite")
+            raise ConditioningError("least-squares system has non-finite entries", np.inf)
 
     @property
     def field_count(self) -> int:

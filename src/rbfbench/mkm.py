@@ -8,7 +8,8 @@ nodes (each boundary node appears in one governing row and one
 boundary-condition row), which is what removes the usual accuracy loss
 next to the boundary. Block ordering makes the matrix literally
 symmetric whenever the adjoint pairing is used, self-adjoint operator
-or not.
+or not. The Kansa baseline comes from the same system builder, with
+governing rows at interior nodes only and one kernel column per node.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import Factor, factor
+from .linalg import factor
 from .operators import Expansion, OperatorSpec, Term, collocation_matrix
 from .bkm import BoundaryData, boundary_groups
 
@@ -33,11 +34,11 @@ class SolutionField(Expansion):
 
 @dataclass
 class MkmSystem:
-    """Square Hermite system: unknowns [alpha (N+L) | beta (L)]."""
+    """Square collocation system of the modified Kansa scheme, unknowns
+    [alpha (N+L) | beta (L)]; the Kansa baseline builds one too."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    nodes: NodeSet
     op: OperatorSpec
     kernel: RadialKernel
     columns: list  # collocation column groups of the trial functions
@@ -49,6 +50,26 @@ class MkmSystem:
     def symmetry_defect(self) -> float:
         scale = np.max(np.abs(self.matrix))
         return float(np.max(np.abs(self.matrix - self.matrix.T)) / scale)
+
+
+def _domain_system(
+    nodes: NodeSet, op: OperatorSpec, bc: BoundaryData, f_samples, phi: RadialKernel, hermite: bool
+) -> MkmSystem:
+    """The system of `assemble_mkm` (`hermite`) or of `solve_kansa_baseline`."""
+    bc.check_counts(nodes)
+    centers = nodes.all_points()
+    f = np.asarray(f_samples, dtype=float)
+    if len(f) != len(centers):
+        raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
+    # one list for rows and columns, so transposed blocks share their derivatives
+    groups = boundary_groups(nodes)
+    if hermite:
+        governed, cols = centers, [("adjoint", centers)] + groups
+    else:
+        governed, cols = nodes.interior, [("value", centers)]
+    A = collocation_matrix(op, phi, [("op", governed)] + groups, cols)
+    rhs = np.concatenate([f[: len(governed)], bc.dirichlet_values, bc.neumann_values])
+    return MkmSystem(matrix=A, rhs=rhs, op=op, kernel=phi, columns=cols)
 
 
 def assemble_mkm(
@@ -65,30 +86,21 @@ def assemble_mkm(
     functions at all nodes, then kernel columns at Dirichlet nodes, then
     source-normal columns at Neumann nodes.
     """
-    bc.check_counts(nodes)
-    centers = nodes.all_points()
-    f = np.asarray(f_samples, dtype=float)
-    if len(f) != len(centers):
-        raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
-
-    rows = [("op", centers)] + boundary_groups(nodes)
-    cols = [("adjoint", centers)] + boundary_groups(nodes)
-    A = collocation_matrix(op, phi, rows, cols)
-    rhs = np.concatenate([f, bc.dirichlet_values, bc.neumann_values])
-    return MkmSystem(matrix=A, rhs=rhs, nodes=nodes, op=op, kernel=phi, columns=cols)
+    return _domain_system(nodes, op, bc, f_samples, phi, hermite=True)
 
 
-def _solved(A, rhs, lu: Factor, op, phi, columns) -> SolutionField:
-    coeffs = lu.solve(rhs)
-    scale = np.max(np.abs(rhs)) or 1.0
-    residual = float(np.max(np.abs(A @ coeffs - rhs)) / scale)
-    return SolutionField([Term(op, phi, columns, coeffs)], lu.cond_est, residual)
+def _solved(system: MkmSystem, what: str) -> SolutionField:
+    lu = factor(system.matrix, what)
+    coeffs = lu.solve(system.rhs)
+    scale = np.max(np.abs(system.rhs)) or 1.0
+    residual = float(np.max(np.abs(system.matrix @ coeffs - system.rhs)) / scale)
+    term = Term(system.op, system.kernel, system.columns, coeffs)
+    return SolutionField([term], lu.cond_est, residual)
 
 
 def solve_mkm(system: MkmSystem) -> SolutionField:
     """Solve the Hermite system; the field evaluates both trial families."""
-    lu = factor(system.matrix, "Hermite collocation")
-    return _solved(system.matrix, system.rhs, lu, system.op, system.kernel, system.columns)
+    return _solved(system, "Hermite collocation")
 
 
 def solve_kansa_baseline(
@@ -104,13 +116,4 @@ def solve_kansa_baseline(
     boundary nodes. Kept on identical nodes and kernel so comparisons
     against the modified scheme isolate the formulation.
     """
-    bc.check_counts(nodes)
-    centers = nodes.all_points()
-    f = np.asarray(f_samples, dtype=float)
-    if len(f) != len(centers):
-        raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
-
-    cols = [("value", centers)]
-    A = collocation_matrix(op, phi, [("op", nodes.interior)] + boundary_groups(nodes), cols)
-    rhs = np.concatenate([f[: nodes.n_interior], bc.dirichlet_values, bc.neumann_values])
-    return _solved(A, rhs, factor(A, "collocation"), op, phi, cols)
+    return _solved(_domain_system(nodes, op, bc, f_samples, phi, hermite=False), "collocation")

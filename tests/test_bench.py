@@ -194,6 +194,7 @@ def test_unknown_kernel_parameter_rejected():
         pytest.param({"family": "mq", "c": float("nan")}, id="nan"),
         pytest.param({"family": "mq", "c": float("inf")}, id="inf"),
         pytest.param({"family": "mq", "c": "0.8"}, id="0.8"),
+        pytest.param({"family": "mq", "c": True}, id="mq-c=true"),
         pytest.param({"family": "mq", "c": -1}, id="mq-c=-1"),
         pytest.param({"family": "imq", "c": 0}, id="imq-c=0"),
         pytest.param({"family": "gaussian", "c": 0}, id="gaussian-c=0"),
@@ -212,6 +213,24 @@ def test_malformed_kernel_parameter_rejected(monkeypatch, spec):
     with pytest.raises(ConfigError, match="finite number"):
         run_benchmark(cfg)
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_lsq_system_is_a_row_error():
+    # c = 1e300 overflows the MQ columns (numpy warns of the overflow and of
+    # the invalid values it leads to); like the square solvers, the
+    # least-squares row records a ConditioningError instead of raising
+    cfg = {
+        "problems": ["helmholtz_disk_inhom"],
+        "methods": ["lsq"],
+        "kernels": [{"family": "mq", "c": 1e300}],
+        "n_boundary": 16,
+        "n_interior": 20,
+    }
+    report = run_benchmark(cfg)
+    assert report.rows == []
+    assert len(report.errors) == 1
+    assert "lsq/nb=16: ConditioningError" in report.errors[0]
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])

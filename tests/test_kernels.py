@@ -255,6 +255,22 @@ def test_substitute_always_passes_regulation(family, c):
     assert check_regulation(shape_substitute(_kernel(family), c))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: shape_substitute(_kernel("mq"), float("nan")), id="shift-c=nan"),
+        pytest.param(lambda: shape_substitute(_kernel("mq"), float("inf")), id="shift-c=inf"),
+        pytest.param(lambda: augment_r2m(_kernel("mq"), 1.5), id="augment-m=1.5"),
+        pytest.param(lambda: augment_r2m(_kernel("mq"), True), id="augment-m=True"),
+        pytest.param(lambda: build_kernel("mq", c=True), id="mq-c=True"),
+        pytest.param(lambda: build_kernel("imq", c=np.True_), id="imq-c=np.True_"),
+    ],
+)
+def test_kernel_parameters_out_of_range_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 def test_augmented_laplace_2d_is_scaled_tps():
     aug = augment_r2m(_kernel("laplace_fs_2d"), 1)
     tps = _kernel("tps")

@@ -85,6 +85,29 @@ def test_inhomogeneous_variant_solves():
     assert metrics.l2_rel_err < 1e-3
 
 
+def test_mixed_bc_assembly_shares_transposed_derivative_passes(monkeypatch):
+    # rows and columns share one boundary-group list, so each of the three
+    # transposed block pairs reads one array derivative pass: 9 blocks, 6 passes
+    from rbfbench import operators
+
+    p = get_problem("poisson_square_inhom")
+    nodes = partition_boundary(generate_nodes(SQUARE, 32, 60, seed=7), p.bc_rule)
+    assert len(nodes.dirichlet_idx) and len(nodes.neumann_idx)
+    bc = bkm.BoundaryData.from_callables(nodes, p.exact, p.exact_grad)
+    fs = p.f_samples(nodes.all_points())
+    passes = []
+    real = operators.derivs_upto_many
+
+    def spy(kernels, r, n):
+        if np.ndim(r):
+            passes.append(n)
+        return real(kernels, r, n)
+
+    monkeypatch.setattr(operators, "derivs_upto_many", spy)
+    mkm.assemble_mkm(nodes, p.operator, bc, fs, build_kernel("mq", c=0.8))
+    assert len(passes) == 6
+
+
 def test_rough_kernel_rejected():
     _, nodes, bc, fs = p2_setup(n_boundary=8, n_interior=5)
     with pytest.raises(KernelSmoothnessError):

@@ -1,8 +1,4 @@
-"""Smoke tests: the example scripts and the benchmark replay run to completion in-process.
-
-`run_default_suite.py` is left out because it writes `results.csv` into
-the working directory.
-"""
+"""Smoke tests: the example scripts and the benchmark replay run to completion in-process."""
 
 import importlib.util
 from pathlib import Path
