@@ -9,6 +9,13 @@ down: the truncation order first (its own tail set to zero), each lower
 order subtracting the traces of the already-solved tail. The chain
 kernels of all orders are evaluated together: each point-set pair gets
 one pairwise geometry and one Bessel table for every order.
+
+The source is read only at the boundary nodes, so the series ends
+exactly at the last order whose boundary data are not all zero: every
+higher order has a zero right-hand side and, by induction from the top,
+exactly zero coefficients. Those orders keep their (zero) terms but are
+neither assembled, solved nor evaluated; a homogeneous problem solves
+order 0 alone, and its `tail_magnitude` reads 0.0.
 """
 
 from __future__ import annotations
@@ -102,7 +109,8 @@ def solve_bpm(
     source term with its particular tail truncated to zero; each lower
     order subtracts the boundary traces of the already-solved higher
     orders, shifted down the kernel chain by the operator powers applied
-    to that row block. Order 0 carries the physical boundary data.
+    to that row block. Order 0 carries the physical boundary data. Orders
+    above the last one with nonzero data get zero coefficients unsolved.
     """
     problem.bc.check_counts(nodes)
     M = problem.order
@@ -116,29 +124,29 @@ def solve_bpm(
                 f"kernel chain entry {m} is {kern.name} at k = {kern.k:g}; "
                 f"it must have order {m} and entry 0's k = {kernel_chain[0].k:g}"
             )
+    # the data of every order: the boundary values at order 0, the
+    # (n-1)-fold source image at order n; `top` is the last nonzero one
+    xd, xn = nodes.dirichlet_points, nodes.neumann_points
+    nn = nodes.neumann_normals
+    data = [np.concatenate([problem.bc.dirichlet_values, problem.bc.neumann_values])]
+    for j in range(M):
+        image = np.asarray(problem.f_chain[j](xd), dtype=float)
+        data.append(np.concatenate([image, problem.chain_normal_derivative(j, xn, nn)]))
+    top = max((n for n, d in enumerate(data) if np.any(d)), default=0)
     if q is None:
         q = assemble_Q(nodes, problem.operator, kernel_chain[0])
 
-    # trace matrices of every chain kernel, in one pass; index m maps
-    # coefficients of an order-(n+m) expansion to its traces after n powers
+    # trace matrices of the chain kernels up to `top`, in one pass; index m
+    # maps coefficients of an order-(n+m) expansion to its traces after n powers
     cols = boundary_groups(nodes)
-    trace = [q.matrix] + collocation_matrices(None, kernel_chain[1 : M + 1], cols, cols)
+    trace = [q.matrix]
+    if top:
+        trace += collocation_matrices(None, kernel_chain[1 : top + 1], cols, cols)
 
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nn = nodes.neumann_normals
-
-    betas: list = [None] * (M + 1)
-    for n in range(M, -1, -1):
-        if n:
-            rhs = np.concatenate(
-                [
-                    np.asarray(problem.f_chain[n - 1](xd), dtype=float),
-                    problem.chain_normal_derivative(n - 1, xn, nn),
-                ]
-            )
-        else:
-            rhs = np.concatenate([problem.bc.dirichlet_values, problem.bc.neumann_values])
-        for m in range(n + 1, M + 1):
+    betas = [np.zeros(len(data[0])) for _ in range(M + 1)]
+    for n in range(top, -1, -1):
+        rhs = data[n]
+        for m in range(n + 1, top + 1):
             rhs = rhs - trace[m - n] @ betas[m]
         betas[n] = q.solve(rhs)
 

@@ -344,7 +344,8 @@ FAMILY_PARAMETERS = {
 
 def check_parameter(family: str, name: str, value) -> float:
     """`value` as a float if it is a real number (not a bool) in the range of
-    `family`'s parameter `name`."""
+    `family`'s parameter `name`; a shape parameter c must also leave the
+    family's radial derivatives finite."""
     bound = FAMILY_PARAMETERS[family][name]
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -355,7 +356,29 @@ def check_parameter(family: str, name: str, value) -> float:
         raise ParameterError(
             f"kernel {family!r} parameter {name} must be a finite number {bound}, got {value!r}"
         )
+    if name == "c":
+        _check_shape_derivatives(family, float(value))
     return float(value)
+
+
+def _check_shape_derivatives(family: str, c: float):
+    """Refuse a shape parameter at which the family's radial derivatives, up
+    to its top order, are not finite at r = 0 and r = 1 (MQ's fourth
+    derivative is inf/inf once c^4 overflows, from about c = 1e77). MQ at
+    c = 0 is phi = r: its origin is left to the fourth-order schemes, which
+    refuse the kink there."""
+    radii = (0.0, 1.0) if c > 0 else (1.0,)
+    try:
+        radial = _FAMILIES[family][0](c)
+        with np.errstate(all="ignore"):
+            finite = all(math.isfinite(d) for r in radii for d in radial(np.float64(r)))
+    except (OverflowError, ZeroDivisionError):  # Gaussian's a = 1/c^2 and a**4
+        finite = False
+    if not finite:
+        raise ParameterError(
+            f"kernel {family!r} shape parameter c = {c!r} gives radial derivatives "
+            "that are not finite"
+        )
 
 
 def build_kernel(
@@ -526,27 +549,37 @@ def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
     power series (x/2)^n sum_j (-x^2/4)^j / (j! (n+j)!) (DLMF 10.2.2),
     summed by Horner's rule, below _SERIES_CUTOVER, and from the upward
     recurrence J_(n+1) = (2n/x) J_n - J_(n-1) (DLMF 10.6.1) at or above
-    it, where the recurrence is stable for n <= MAX_CHAIN_ORDER.
+    it, where the recurrence is stable for n <= MAX_CHAIN_ORDER. Each
+    formula runs only when some argument takes it.
     """
     table = [special.j0(x), special.j1(x)]
     if m < 2:
         return table[: m + 1]
     small = x < _SERIES_CUTOVER
-    half = 0.5 * x[small]
+    every = np.all(small)
+    half = 0.5 * (x if every else x[small])
     t = -half * half
+    if every:  # no argument takes the recurrence
+        return table + [_bessel_series(n, half, t) for n in range(2, m + 1)]
     # 2/x where the recurrence holds; a finite stand-in where the series
     # overwrites it
     two_over_x = 2.0 / np.maximum(x, _SERIES_CUTOVER)
     for n in range(2, m + 1):
         jn = (n - 1) * two_over_x * table[n - 1] - table[n - 2]
-        coeffs = [1.0 / (math.factorial(j) * math.factorial(n + j)) for j in range(_SERIES_TERMS)]
-        acc = np.full_like(t, coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            acc *= t
-            acc += c
-        jn[small] = half**n * acc
+        if half.size:
+            jn[small] = _bessel_series(n, half, t)
         table.append(jn)
     return table
+
+
+def _bessel_series(n: int, half: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """J_n from its power series at half = x/2 and t = -x^2/4, by Horner's rule."""
+    coeffs = [1.0 / (math.factorial(j) * math.factorial(n + j)) for j in range(_SERIES_TERMS)]
+    acc = np.full_like(t, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= t
+        acc += c
+    return half**n * acc
 
 
 def _chain_derivs(k: float, m: int, nz, q, J) -> Iterator[np.ndarray]:

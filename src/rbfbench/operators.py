@@ -391,9 +391,12 @@ class Expansion:
 
     def traces(self, rows) -> np.ndarray:
         """The field under the collocation row groups `rows`, summed term by term;
-        consecutive terms on one `op` and one `columns` object share one pass."""
+        consecutive terms on one `op` and one `columns` object share one pass.
+        Terms whose coefficients are all zero add nothing and are skipped (one
+        is kept when all are, for the shape of the result)."""
+        terms = [t for t in self.terms if np.any(t.coefficients)] or self.terms[:1]
         total = 0
-        for _, run in groupby(self.terms, key=lambda t: (t.op, id(t.columns))):
+        for _, run in groupby(terms, key=lambda t: (t.op, id(t.columns))):
             run = list(run)
             mats = collocation_matrices(run[0].op, [t.kernel for t in run], rows, run[0].columns)
             total = sum((a @ t.coefficients for a, t in zip(mats, run)), total)

@@ -15,8 +15,9 @@ from rbfbench.bench import (
     probe_grid,
     run_benchmark,
 )
-from rbfbench.errors import ConfigError
+from rbfbench.errors import ConfigError, ParameterError
 from rbfbench.geometry import DomainSpec, boundary_band_mask, distance_to_boundary
+from rbfbench.kernels import build_kernel
 from rbfbench.problems import (
     CONSISTENCY_TOL,
     _fd_operator_image,
@@ -215,15 +216,19 @@ def test_malformed_kernel_parameter_rejected(monkeypatch, spec):
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_lsq_system_is_a_row_error():
-    # c = 1e300 overflows the MQ columns (numpy warns of the overflow and of
-    # the invalid values it leads to); like the square solvers, the
-    # least-squares row records a ConditioningError instead of raising
+def test_non_finite_lsq_system_is_a_row_error(monkeypatch):
+    # a source that overflows makes the least-squares right-hand side
+    # non-finite; like the square solvers, the least-squares row records a
+    # ConditioningError instead of raising
+    assemble = lsq.assemble_overdetermined
+
+    def overflowing(src, field_nodes, op, bc, f, phi):
+        return assemble(src, field_nodes, op, bc, lambda p: np.full(len(p), np.inf), phi)
+
+    monkeypatch.setattr(lsq, "assemble_overdetermined", overflowing)
     cfg = {
         "problems": ["helmholtz_disk_inhom"],
         "methods": ["lsq"],
-        "kernels": [{"family": "mq", "c": 1e300}],
         "n_boundary": 16,
         "n_interior": 20,
     }
@@ -231,6 +236,39 @@ def test_non_finite_lsq_system_is_a_row_error():
     assert report.rows == []
     assert len(report.errors) == 1
     assert "lsq/nb=16: ConditioningError" in report.errors[0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"family": "mq", "c": 1e300}, id="mq-c=1e300"),
+        pytest.param({"family": "mq", "c": 1e150}, id="mq-c=1e150"),
+        pytest.param({"family": "imq", "c": 1e-60}, id="imq-c=1e-60"),
+        pytest.param({"family": "gaussian", "c": 1e-40}, id="gaussian-c=1e-40"),
+        pytest.param({"family": "gaussian", "c": 1e-170}, id="gaussian-c=1e-170"),
+    ],
+)
+def test_shape_parameter_with_non_finite_derivatives_rejected(tmp_path, capsys, spec):
+    # finite, in range, but the family's own derivatives overflow: refused
+    # at config time, before any row, without a numpy warning
+    import json
+    import warnings
+
+    from rbfbench.cli import main
+
+    cfg = {**SMALL, "problems": ["helmholtz_disk_inhom"], "methods": ["lsq"], "kernels": [spec]}
+    path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="not finite"):
+            BenchConfig.from_dict(cfg)
+        with pytest.raises(ParameterError, match="not finite"):
+            build_kernel(**spec)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert caught == []
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])

@@ -289,3 +289,78 @@ def test_bpm_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatc
     assert counts["pairs"] <= 5
     # all chain traces 1, probes 1 (the order-0 kernel reads j0 directly)
     assert counts["tables"] <= 2
+
+
+def test_terminating_chain_solves_and_tables_only_its_nonzero_orders(monkeypatch):
+    # f = sin(2x) solves (Lap + 4) f = 0, so at k = 2 the source chain is
+    # (f, 0, 0) and u = -x cos(2x)/4 solves L u = f: orders 2 and 3 carry
+    # no data and must come out as exact zeros, built from no table above 1
+    op = helmholtz(2.0)
+    nodes = partition_boundary(generate_nodes(DISK, 24, 0, seed=7), ((0.0, 0.5),))
+    exact = lambda q: -0.25 * q[:, 0] * np.cos(2.0 * q[:, 0])
+    grad = lambda q: np.column_stack(
+        [-0.25 * np.cos(2.0 * q[:, 0]) + 0.5 * q[:, 0] * np.sin(2.0 * q[:, 0]), np.zeros(len(q))]
+    )
+    bc = bkm.BoundaryData.from_callables(nodes, exact, grad)
+    zero = lambda q: np.zeros(len(np.atleast_2d(q)))
+    zero_grad = lambda q: np.zeros_like(np.atleast_2d(q))
+    fch = (lambda q: np.sin(2.0 * np.atleast_2d(q)[:, 0]), zero, zero)
+    gch = (
+        lambda q: np.column_stack([2.0 * np.cos(2.0 * q[:, 0]), np.zeros(len(q))]),
+        zero_grad,
+        zero_grad,
+    )
+    first = bpm.solve_bpm(nodes, bpm.MrmProblem(op, bc, fch, 1, gch), chain_for(op, 1))
+
+    orders = []
+    table = kernels._bessel_table
+
+    def counting_table(x, m):
+        orders.append(m)
+        return table(x, m)
+
+    monkeypatch.setattr(kernels, "_bessel_table", counting_table)
+    third = bpm.solve_bpm(nodes, bpm.MrmProblem(op, bc, fch, 3, gch), chain_for(op, 3))
+    probes = np.random.default_rng(2).uniform(-0.6, 0.6, size=(30, 2))
+    values = third.evaluate(probes)
+    assert orders and max(orders) <= 1
+
+    assert third.order == 3 and third.tail_magnitude == 0.0
+    for a, b in zip(third.beta_by_order[:2], first.beta_by_order):
+        assert np.array_equal(a, b)
+    for beta in third.beta_by_order[2:]:
+        assert beta.shape == first.beta_by_order[0].shape and np.all(beta == 0.0)
+    assert np.array_equal(values, first.evaluate(probes))
+    assert np.max(np.abs(values - exact(probes))) < 1e-3
+
+
+def test_homogeneous_bpm_row_builds_and_evaluates_order_zero_only(monkeypatch):
+    # a homogeneous source ends the series at order 0: no chain-kernel table
+    # (the order-0 kernel reads j0 directly) and no collocation call on a
+    # chain kernel, neither for traces nor for the probe evaluation
+    tables, orders = [], []
+    table, matrices = kernels._bessel_table, operators.collocation_matrices
+
+    def counting_table(x, m):
+        tables.append(m)
+        return table(x, m)
+
+    def recording_matrices(op, kerns, rows, cols):
+        orders.append([kern.order for kern in kerns])
+        return matrices(op, kerns, rows, cols)
+
+    monkeypatch.setattr(kernels, "_bessel_table", counting_table)
+    monkeypatch.setattr(operators, "collocation_matrices", recording_matrices)
+    monkeypatch.setattr(bpm, "collocation_matrices", recording_matrices)
+    config = {
+        "problems": ["helmholtz_disk"],
+        "methods": ["bpm"],
+        "n_boundary": 32,
+        "n_interior": 0,
+        "bpm_order": 3,
+    }
+    report = run_benchmark(config)
+    assert report.errors == [] and len(report.rows) == 1
+    assert report.rows[0].M_order == 3
+    assert tables == []
+    assert orders and all(o == [0] for o in orders)

@@ -459,6 +459,45 @@ def test_bessel_table_prefix_is_the_shorter_table():
                 assert np.array_equal(a, b), f"J_{n} of the order-{M} and order-{m} tables"
 
 
+def _two_formula_table(x, m):
+    # both formulas on every argument, the series copied in below the cutover
+    table = [special.j0(x), special.j1(x)]
+    small = x < _SERIES_CUTOVER
+    half = 0.5 * x[small]
+    t = -half * half
+    two_over_x = 2.0 / np.maximum(x, _SERIES_CUTOVER)
+    for n in range(2, m + 1):
+        jn = (n - 1) * two_over_x * table[n - 1] - table[n - 2]
+        coeffs = [1.0 / (math.factorial(j) * math.factorial(n + j)) for j in range(14)]
+        acc = np.full_like(t, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc *= t
+            acc += c
+        jn[small] = half**n * acc
+        table.append(jn)
+    return table
+
+
+@pytest.mark.parametrize("where", ["small", "large", "mixed", "empty"])
+def test_bessel_table_matches_the_two_formulas_bitwise(where):
+    # a table whose arguments all take one formula skips the other
+    rng = np.random.default_rng(11)
+    edges = [0.0, 1e-8, np.nextafter(_SERIES_CUTOVER, 0.0)]
+    small = np.concatenate([edges, rng.uniform(0.0, _SERIES_CUTOVER, 300)])
+    large = np.concatenate([[_SERIES_CUTOVER, 40.0], rng.uniform(2.0, 40.0, 300)])
+    x = {
+        "small": small,
+        "large": large,
+        "mixed": rng.permutation(np.concatenate([small, large])),
+        "empty": np.empty(0),
+    }[where]
+    for m in range(MAX_CHAIN_ORDER + 1):
+        got = _bessel_table(x, m)
+        assert len(got) == m + 1
+        for n, (a, b) in enumerate(zip(got, _two_formula_table(x, m))):
+            assert np.array_equal(a, b), f"J_{n} of the order-{m} table"
+
+
 def test_derivs_upto_many_matches_each_generator_bitwise():
     # two Helmholtz chains (orders out of order), a Laplace chain kernel and
     # catalog kernels in one pass; each must read as its own generator
