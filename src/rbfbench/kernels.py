@@ -363,11 +363,14 @@ def check_parameter(family: str, name: str, value) -> float:
 
 def _check_shape_derivatives(family: str, c: float):
     """Refuse a shape parameter at which the family's radial derivatives, up
-    to its top order, are not finite at r = 0 and r = 1 (MQ's fourth
-    derivative is inf/inf once c^4 overflows, from about c = 1e77). MQ at
-    c = 0 is phi = r: its origin is left to the fourth-order schemes, which
-    refuse the kink there."""
-    radii = (0.0, 1.0) if c > 0 else (1.0,)
+    to its top order, are not finite at r = 0 or at r = 2, the largest
+    distance between two points of a benchmark domain (the unit disk's
+    diameter). MQ's fourth derivative is inf/inf once c^4 overflows, from
+    about c = 1e77; Gaussian's 16 a^4 r^4 overflows against exp(-a r^2) = 0
+    sooner at larger r, so r = 2 bounds every shorter distance. MQ at c = 0
+    is phi = r: its origin is left to the fourth-order schemes, which refuse
+    the kink there."""
+    radii = (0.0, 2.0) if c > 0 else (2.0,)
     try:
         radial = _FAMILIES[family][0](c)
         with np.errstate(all="ignore"):
@@ -549,8 +552,8 @@ def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
     power series (x/2)^n sum_j (-x^2/4)^j / (j! (n+j)!) (DLMF 10.2.2),
     summed by Horner's rule, below _SERIES_CUTOVER, and from the upward
     recurrence J_(n+1) = (2n/x) J_n - J_(n-1) (DLMF 10.6.1) at or above
-    it, where the recurrence is stable for n <= MAX_CHAIN_ORDER. Each
-    formula runs only when some argument takes it.
+    it, where the recurrence is stable for n <= MAX_CHAIN_ORDER. When no
+    argument takes the recurrence, it is not run.
     """
     table = [special.j0(x), special.j1(x)]
     if m < 2:
@@ -566,8 +569,7 @@ def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
     two_over_x = 2.0 / np.maximum(x, _SERIES_CUTOVER)
     for n in range(2, m + 1):
         jn = (n - 1) * two_over_x * table[n - 1] - table[n - 2]
-        if half.size:
-            jn[small] = _bessel_series(n, half, t)
+        jn[small] = _bessel_series(n, half, t)
         table.append(jn)
     return table
 

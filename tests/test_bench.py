@@ -217,15 +217,15 @@ def test_malformed_kernel_parameter_rejected(monkeypatch, spec):
 
 
 def test_non_finite_lsq_system_is_a_row_error(monkeypatch):
-    # a source that overflows makes the least-squares right-hand side
-    # non-finite; like the square solvers, the least-squares row records a
+    # overflowing kernel columns make the least-squares matrix non-finite;
+    # like the square solvers, the least-squares row records a
     # ConditioningError instead of raising
-    assemble = lsq.assemble_overdetermined
+    collocate = lsq.collocation_matrix
 
-    def overflowing(src, field_nodes, op, bc, f, phi):
-        return assemble(src, field_nodes, op, bc, lambda p: np.full(len(p), np.inf), phi)
+    def overflowing(*args, **kwargs):
+        return np.full_like(collocate(*args, **kwargs), np.inf)
 
-    monkeypatch.setattr(lsq, "assemble_overdetermined", overflowing)
+    monkeypatch.setattr(lsq, "collocation_matrix", overflowing)
     cfg = {
         "problems": ["helmholtz_disk_inhom"],
         "methods": ["lsq"],
@@ -244,6 +244,7 @@ def test_non_finite_lsq_system_is_a_row_error(monkeypatch):
         pytest.param({"family": "mq", "c": 1e300}, id="mq-c=1e300"),
         pytest.param({"family": "mq", "c": 1e150}, id="mq-c=1e150"),
         pytest.param({"family": "imq", "c": 1e-60}, id="imq-c=1e-60"),
+        pytest.param({"family": "gaussian", "c": 5e-39}, id="gaussian-c=5e-39"),
         pytest.param({"family": "gaussian", "c": 1e-40}, id="gaussian-c=1e-40"),
         pytest.param({"family": "gaussian", "c": 1e-170}, id="gaussian-c=1e-170"),
     ],
