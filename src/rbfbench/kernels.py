@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
@@ -101,13 +101,13 @@ def derivs_upto_many(kernels, r, n: int) -> list:
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("radial distance must be nonnegative")
     tables = {}  # Helmholtz chain wavenumber -> highest order, then its table
     for kern in kernels:
         if not 0 <= n <= kern.top_order:
             raise UnsupportedError(f"kernel {kern.name} has no order-{n} radial derivative")
-        if kern.singular_at_origin and np.any(arr == 0.0):
+        if kern.singular_at_origin and (arr == 0.0).any():
             raise SingularityError(f"kernel {kern.name} is singular at r = 0")
         if kern.family == "higher_order" and kern.k > 0:  # the Laplace chain has k = 0
             tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
@@ -344,8 +344,12 @@ FAMILY_PARAMETERS = {
 
 def check_parameter(family: str, name: str, value) -> float:
     """`value` as a float if it is a real number (not a bool) in the range of
-    `family`'s parameter `name`; a shape parameter c must also leave the
-    family's radial derivatives finite."""
+    `family`'s parameter `name` (shape c, wavenumber k or decay rate omega)
+    at which the family's radial derivatives, up to its top order, are
+    finite at r = 0 and at r = 2, the largest distance in a benchmark domain
+    (Gaussian's 16 a^4 r^4 overflows sooner at larger r). Singular families,
+    whose pole is refused where it is evaluated, and MQ at c = 0 (phi = r,
+    whose kink the fourth-order schemes refuse) are not probed at r = 0."""
     bound = FAMILY_PARAMETERS[family][name]
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -356,32 +360,23 @@ def check_parameter(family: str, name: str, value) -> float:
         raise ParameterError(
             f"kernel {family!r} parameter {name} must be a finite number {bound}, got {value!r}"
         )
-    if name == "c":
-        _check_shape_derivatives(family, float(value))
+    if not _finite_derivatives(family, float(value)):
+        raise ParameterError(
+            f"kernel {family!r} parameter {name} = {value!r} gives radial derivatives "
+            "that are not finite"
+        )
     return float(value)
 
 
-def _check_shape_derivatives(family: str, c: float):
-    """Refuse a shape parameter at which the family's radial derivatives, up
-    to its top order, are not finite at r = 0 or at r = 2, the largest
-    distance between two points of a benchmark domain (the unit disk's
-    diameter). MQ's fourth derivative is inf/inf once c^4 overflows, from
-    about c = 1e77; Gaussian's 16 a^4 r^4 overflows against exp(-a r^2) = 0
-    sooner at larger r, so r = 2 bounds every shorter distance. MQ at c = 0
-    is phi = r: its origin is left to the fourth-order schemes, which refuse
-    the kink there."""
-    radii = (0.0, 2.0) if c > 0 else (2.0,)
+@lru_cache(maxsize=256)  # a pure probe; harness rows repeat their parameters
+def _finite_derivatives(family: str, value: float) -> bool:
+    make, singular, _ = _FAMILIES[family]
+    radii = (2.0,) if singular or value == 0 else (0.0, 2.0)
     try:
-        radial = _FAMILIES[family][0](c)
         with np.errstate(all="ignore"):
-            finite = all(math.isfinite(d) for r in radii for d in radial(np.float64(r)))
-    except (OverflowError, ZeroDivisionError):  # Gaussian's a = 1/c^2 and a**4
-        finite = False
-    if not finite:
-        raise ParameterError(
-            f"kernel {family!r} shape parameter c = {c!r} gives radial derivatives "
-            "that are not finite"
-        )
+            return all(math.isfinite(d) for r in radii for d in make(value)(np.float64(r)))
+    except (OverflowError, ZeroDivisionError):  # Gaussian's a = 1/c^2, a**4 and k**3
+        return False
 
 
 def build_kernel(

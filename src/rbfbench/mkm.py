@@ -61,7 +61,6 @@ def _domain_system(
     f = np.asarray(f_samples, dtype=float)
     if len(f) != len(centers):
         raise ValueError(f"expected {len(centers)} source samples, got {len(f)}")
-    # one list for rows and columns, so transposed blocks share their derivatives
     groups = boundary_groups(nodes)
     if hermite:
         governed, cols = centers, [("adjoint", centers)] + groups

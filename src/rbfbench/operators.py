@@ -6,12 +6,13 @@ constant coefficients: the 2D Laplacian (D=1, gamma=0), Helmholtz
 (D, velocity v). The adjoint-sign variant L* flips the velocity.
 
 Every kernel functional of every scheme is evaluated by one function,
-`collocation_matrices` (any number of kernels from one pairwise geometry
-per block; `collocation_matrix` is its one-kernel case): rows are field
-values, field-normal derivatives or operator images L, columns are
-kernels, source-normal derivatives or adjoint images L*, and each of the
-nine (row, column) pairs is one analytic block formula, up to L L* (which
-needs third and fourth radial derivatives). Coincident field/source
+`collocation_matrices` (any number of kernels; `collocation_matrix` is its
+one-kernel case): rows are field values, field-normal derivatives or
+operator images L, columns are kernels, source-normal derivatives or
+adjoint images L*, and each of the nine (row, column) pairs is one
+analytic block formula, up to L L* (which needs third and fourth radial
+derivatives), built in cache-sized row tiles of one pairwise geometry
+and one derivative pass each, straight into the output. Coincident field/source
 pairs (r below 1e-8) are patched with the analytic limits; for smooth
 radial kernels the gradient at the origin is the zero vector and the
 Laplacian limit is 2*phi''(0). Every solved field of every scheme is an
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,10 @@ from .kernels import RadialKernel, derivs_upto_many
 
 #: below this separation a field/source pair is treated as coincident
 COINCIDENT_TOL = 1e-8
+
+#: most elements in one row tile of a block: a tile's eight or so live
+#: float64 temporaries (256 KiB each) then stay in a 2 MiB per-core L2
+TILE = 2**15
 
 OPERATOR_KINDS = (
     "laplace_2d",
@@ -130,18 +135,20 @@ class _Pairs:
     length `r`; `dot(w)` projects it on `w`, whose last axis of length 2
     broadcasts. The coincident mask `z` (r < COINCIDENT_TOL) and the safe
     divisor `rs` (r with coincident pairs set to 1, else `r` itself) are
-    computed on first use, since plain kernel values need neither. Refuses
-    poles of singular kernels.
+    computed on first use, since plain kernel values need neither. `nn` is
+    n_x.n_y of normal rows against normal columns (else None). Refuses poles
+    of singular kernels.
     """
 
-    def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str):
+    def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str, nn=None):
+        self.nn = nn
         self.dx = X[:, :1] - Y[:, 0]
         self.dy = X[:, 1:] - Y[:, 1]
         # the rounding of the two-term sum of squares, not hypot's
         self.r = self.dx * self.dx
         self.r += self.dy * self.dy
         np.sqrt(self.r, out=self.r)
-        if kernel.singular_at_origin and np.any(self.z):
+        if kernel.singular_at_origin and self.z.any():
             raise SingularityError(
                 f"{what}: coincident points hit the pole of kernel {kernel.name}"
             )
@@ -156,7 +163,7 @@ class _Pairs:
 
     @cached_property
     def rs(self) -> np.ndarray:
-        return np.where(self.z, 1.0, self.r) if np.any(self.z) else self.r
+        return np.where(self.z, 1.0, self.r) if self.z.any() else self.r
 
 
 # Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
@@ -190,8 +197,7 @@ def _normal_normal(op, g, f, f0, nx, ny):
     # field-normal derivative of the source-normal derivative; symmetric
     # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
     rs, z = g.rs, g.z
-    px, py = g.dot(nx[:, None]), g.dot(ny)
-    nn = nx @ ny.T
+    px, py, nn = g.dot(nx[:, None]), g.dot(ny), g.nn
     _, d1, d2 = f
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
     if f0 is not None:
@@ -304,28 +310,36 @@ def _group(group, kinds):
     return kind, arrays[0], arrays[1] if kind == "normal" else None
 
 
-def _block(op, kernels, pole, row, col, shared: dict) -> list:
-    # one geometry (refusing coincident pairs if `pole` is singular) and one
-    # derivative pass serve every kernel; the formula runs once per kernel
+def _block(op, kernels, pole, row, col, outs):
+    # row tiles of at most TILE elements, each of one geometry (refusing coincident pairs
+    # if `pole` is singular) and one derivative pass for every kernel, the formula's arrays
+    # written into the `outs` views (`outs` None: a block of one tile returns them)
     (rk, X, nx), (ck, Y, ny) = row, col
     if not (len(X) and len(Y)):
-        return [np.empty((len(X), len(Y))) for _ in kernels]
+        return
     formula, order = _FORMULAS[rk, ck]
     if order > 2:
         for kernel in kernels:
             _require_fourth_order(kernel, order)
-    g = _Pairs(pole, X, Y, f"{rk} rows x {ck} columns")
-    fs = shared.pop((id(Y), id(X), order), None)
-    if fs is not None:
-        fs = [tuple(a.T for a in f) for f in fs]
-    else:
+    # BLAS rounds a row slice of nx @ ny.T unlike the whole product, so the
+    # product is taken once per block and sliced per tile
+    nn = nx @ ny.T if rk == ck == "normal" else None
+    step = max(1, TILE // len(Y))
+    for i in range(0, len(X), step):
+        rows = slice(i, i + step)
+        g = _Pairs(pole, X[rows], Y, f"{rk} rows x {ck} columns", nn if nn is None else nn[rows])
         # plain values are exact at any separation; derivatives are read at
-        # the safe radii, whose coincident entries the formulas overwrite
-        fs = derivs_upto_many(kernels, g.rs if order else g.r, order)
-        if (id(X), id(Y), order) in shared:
-            shared[id(X), id(Y), order] = fs
-    f0s = derivs_upto_many(kernels, 0.0, order) if order and np.any(g.z) else [None] * len(kernels)
-    return [formula(op, g, f, f0, nx, ny) for f, f0 in zip(fs, f0s)]
+        # the safe radii (`r` itself unless pairs coincide), whose coincident
+        # entries the formulas overwrite from the derivatives at r = 0
+        rs = g.rs if order else g.r
+        fs = derivs_upto_many(kernels, rs, order)
+        f0s = derivs_upto_many(kernels, 0.0, order) if rs is not g.r else [None] * len(kernels)
+        tx = nx if nx is None else nx[rows]
+        tile = [formula(op, g, f, f0, tx, ny) for f, f0 in zip(fs, f0s)]
+        if outs is None:
+            return tile
+        for out, a in zip(outs, tile):
+            out[rows] = a
 
 
 def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:
@@ -344,28 +358,20 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
 
 def collocation_matrices(op: OperatorSpec | None, kernels, rows, cols) -> list:
     """`[collocation_matrix(op, kernel, rows, cols) for kernel in kernels]`, bit
-    for bit, from one pairwise geometry and one derivative pass per block."""
+    for bit, from one pairwise geometry and one derivative pass per block tile,
+    each block written straight into its place in the stacked matrices."""
     rows = [_group(g, ROW_KINDS) for g in rows]
     cols = [_group(g, COLUMN_KINDS) for g in cols]
-    # The radii of Y against X are those of X against Y transposed, bit for
-    # bit, so of two transposed blocks of equal derivative order the first
-    # one built leaves its kernel derivatives in `shared` for the second.
-    keys = {(id(X), id(Y), _FORMULAS[rk, ck][1]) for rk, X, _ in rows for ck, Y, _ in cols}
-    shared = {k: None for k in keys if k[0] != k[1] and (k[1], k[0], k[2]) in keys}
     pole = next((kern for kern in kernels if kern.singular_at_origin), kernels[0])
-    blocks = [[_block(op, kernels, pole, row, col, shared) for col in cols] for row in rows]
-    if len(rows) == len(cols) == 1:
-        return blocks[0][0]  # a lone block is returned as it is, not copied
-    # the outputs are allocated after the blocks: allocating first made
-    # large assemblies measurably slower
-    heights = [len(X) for _, X, _ in rows]
-    widths = [len(Y) for _, Y, _ in cols]
-    outs = [np.empty((sum(heights), sum(widths))) for _ in kernels]
-    for i, row in enumerate(blocks):
-        for j, per_kernel in enumerate(row):
-            r0, c0 = sum(heights[:i]), sum(widths[:j])
-            for out, block in zip(outs, per_kernel):
-                out[r0 : r0 + heights[i], c0 : c0 + widths[j]] = block
+    r0 = list(accumulate((len(X) for _, X, _ in rows), initial=0))
+    c0 = list(accumulate((len(Y) for _, Y, _ in cols), initial=0))
+    if len(rows) == len(cols) == 1 and 0 < r0[-1] * c0[-1] <= TILE:
+        return _block(op, kernels, pole, rows[0], cols[0], None)  # no copy into fresh pages
+    outs = [np.empty((r0[-1], c0[-1])) for _ in kernels]
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            views = [out[r0[i] : r0[i + 1], c0[j] : c0[j + 1]] for out in outs]
+            _block(op, kernels, pole, row, col, views)
     return outs
 
 

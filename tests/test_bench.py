@@ -272,6 +272,30 @@ def test_shape_parameter_with_non_finite_derivatives_rejected(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"family": "helmholtz_gs_2d", "k": 1e200}, id="helmholtz_gs_2d-k=1e200"),
+        pytest.param({"family": "exp_decay", "omega": 1e200}, id="exp_decay-omega=1e200"),
+        pytest.param({"family": "mod_helmholtz_gs_2d", "k": 400.0}, id="mod_helmholtz-k=400"),
+    ],
+)
+def test_wavenumber_or_decay_rate_with_non_finite_derivatives_rejected(spec):
+    # a finite, in-range k or omega whose derivatives overflow is a
+    # ConfigError before the first solve, with no numpy warning on the way
+    import warnings
+
+    cfg = {"problems": ["poisson_square"], "methods": ["mkm"], "kernels": [spec],
+           "n_boundary": 8, "n_interior": 4}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="not finite"):
+            run_benchmark(cfg)
+        with pytest.raises(ParameterError, match="not finite"):
+            build_kernel(**spec)
+    assert caught == []
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
 def test_timing_accepts_only_booleans(flag):
     with pytest.raises(ConfigError, match="timing"):

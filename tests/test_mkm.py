@@ -85,27 +85,31 @@ def test_inhomogeneous_variant_solves():
     assert metrics.l2_rel_err < 1e-3
 
 
-def test_mixed_bc_assembly_shares_transposed_derivative_passes(monkeypatch):
-    # rows and columns share one boundary-group list, so each of the three
-    # transposed block pairs reads one array derivative pass: 9 blocks, 6 passes
-    from rbfbench import operators
+def test_mixed_bc_assembly_writes_its_blocks_into_one_matrix():
+    # every block is built in cache-sized row tiles written straight into the
+    # system matrix: the assembly allocates little beyond the matrix itself,
+    # which is its single-block builds stacked, bit for bit
+    import tracemalloc
+
+    from rbfbench.operators import collocation_matrix
 
     p = get_problem("poisson_square_inhom")
-    nodes = partition_boundary(generate_nodes(SQUARE, 32, 60, seed=7), p.bc_rule)
+    nodes = partition_boundary(generate_nodes(SQUARE, 128, 1024, seed=7), p.bc_rule)
     assert len(nodes.dirichlet_idx) and len(nodes.neumann_idx)
     bc = bkm.BoundaryData.from_callables(nodes, p.exact, p.exact_grad)
     fs = p.f_samples(nodes.all_points())
-    passes = []
-    real = operators.derivs_upto_many
-
-    def spy(kernels, r, n):
-        if np.ndim(r):
-            passes.append(n)
-        return real(kernels, r, n)
-
-    monkeypatch.setattr(operators, "derivs_upto_many", spy)
-    mkm.assemble_mkm(nodes, p.operator, bc, fs, build_kernel("mq", c=0.8))
-    assert len(passes) == 6
+    phi = build_kernel("mq", c=0.8)
+    tracemalloc.start()
+    try:
+        system = mkm.assemble_mkm(nodes, p.operator, bc, fs, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.matrix.shape == (1280, 1280)
+    assert peak < 1.5 * system.matrix.nbytes
+    rows = [("op", nodes.all_points())] + bkm.boundary_groups(nodes)
+    blocks = [[collocation_matrix(p.operator, phi, [r], [c]) for c in system.columns] for r in rows]
+    assert np.array_equal(system.matrix, np.block(blocks))
 
 
 def test_rough_kernel_rejected():

@@ -419,3 +419,78 @@ def test_collocation_matrix_rejects_unknown_groups():
         collocation_matrix(None, kern, [("adjoint", pts)], [("value", pts)])
     with pytest.raises(ValueError):
         collocation_matrix(None, kern, [("normal", pts)], [("value", pts)])
+
+
+def _tiled_groups():
+    # 23 rows against 7 columns; the one coincident pair sits in row 19
+    rng = np.random.default_rng(11)
+    X, Y = rng.uniform(-1, 1, (23, 2)), rng.uniform(-1, 1, (7, 2))
+    Y[5] = X[19]
+    nx, ny = (
+        np.column_stack([np.cos(t), np.sin(t)]) for t in rng.uniform(0, 2 * np.pi, (2, 23))
+    )
+    rows = [("value", X), ("normal", X, nx), ("op", X)]
+    cols = [("value", Y), ("normal", Y, ny[:7]), ("adjoint", Y)]
+    return rows, cols
+
+
+def _count_tiles(monkeypatch):
+    from rbfbench import operators
+
+    tiles = []
+    real = operators._Pairs
+
+    def counting(*args, **kwargs):
+        tiles.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_Pairs", counting)
+    return tiles
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
+def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
+    # TILE = 17 elements is 2 rows of 7 columns: each of the 9 blocks takes 12
+    # tiles, the last one row, and the coincident pair falls in tile 10 only
+    from rbfbench import operators
+
+    rows, cols = _tiled_groups()
+    kern = build_kernel("mq", c=0.9)
+    whole = collocation_matrix(op, kern, rows, cols)
+    monkeypatch.setattr(operators, "TILE", 17)
+    tiles = _count_tiles(monkeypatch)
+    tiled = collocation_matrix(op, kern, rows, cols)
+    assert tiles == ([2] * 11 + [1]) * 9
+    assert np.array_equal(tiled, whole)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            block = tiled[23 * i : 23 * (i + 1), 7 * j : 7 * (j + 1)]
+            assert np.array_equal(block, collocation_matrix(op, kern, [row], [col]))
+
+
+def test_uneven_row_tiles_build_the_one_tile_chain_matrices(monkeypatch):
+    # one multi-kernel call over a Helmholtz chain (its traces and normal
+    # derivatives, as BPM builds them), one Bessel table per tile
+    from rbfbench import operators
+    from rbfbench.operators import collocation_matrices
+
+    op = helmholtz(1.3)
+    chain = [higher_order_solution(op, m) for m in range(4)]
+    rows, cols = (groups[:2] for groups in _tiled_groups())
+    whole = collocation_matrices(op, chain, rows, cols)
+    monkeypatch.setattr(operators, "TILE", 17)
+    tiled = collocation_matrices(op, chain, rows, cols)
+    for kern, a, b in zip(chain, tiled, whole):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, collocation_matrix(op, kern, rows, cols))
+
+
+def test_pole_in_a_later_tile_is_refused(monkeypatch):
+    from rbfbench import operators
+
+    rows, cols = _tiled_groups()
+    monkeypatch.setattr(operators, "TILE", 17)
+    tiles = _count_tiles(monkeypatch)
+    with pytest.raises(SingularityError, match="pole"):
+        collocation_matrix(laplace(), build_kernel("laplace_fs_2d"), rows[:1], cols[:1])
+    assert tiles == [2] * 10
