@@ -12,12 +12,14 @@ operator images L, columns are kernels, source-normal derivatives or
 adjoint images L*, and each of the nine (row, column) pairs is one
 analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
-and one derivative pass each, straight into the output. Coincident field/source
-pairs (r below 1e-8) are patched with the analytic limits; for smooth
-radial kernels the gradient at the origin is the zero vector and the
-Laplacian limit is 2*phi''(0). Every solved field of every scheme is an
-`Expansion`, a sum of kernel expansions evaluated through the same
-function, and the check `homogeneous_residual` is one call of it too.
+and one derivative pass each, straight into the output. Coincident
+field/source pairs (r below 1e-8) are patched with the analytic limits,
+read from that same pass (every smooth kernel's generator returns its
+r = 0 limits); for smooth radial kernels the gradient at the origin is
+the zero vector and the Laplacian limit is 2*phi''(0). Every solved field
+of every scheme is an `Expansion`, a sum of kernel expansions evaluated
+through the same function, and the check `homogeneous_residual` is one
+call of it too.
 """
 
 from __future__ import annotations
@@ -168,16 +170,17 @@ class _Pairs:
 
 # Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
 # below, d.w = g.dot(w); `g.rs` may be `g.r` itself, so neither is written
-# into), `f`, the kernel's radial derivatives at the pair radii (phi, phi',
-# ... up to the order `_FORMULAS` lists), and `f0`, the same derivatives at
-# r = 0 when the block has coincident pairs (None otherwise).
+# into) and `f`, the kernel's radial derivatives at the pair radii (phi,
+# phi', ... up to the order `_FORMULAS` lists). Every smooth kernel's
+# generator returns its r = 0 limits, so a formula patches the coincident
+# entries (the mask `g.z`) with analytic limits read from `f` there.
 
 
-def _value_value(op, g, f, f0, nx, ny):
+def _value_value(op, g, f, nx, ny):
     return f[0]
 
 
-def _normal_value(op, g, f, f0, nx, ny):
+def _normal_value(op, g, f, nx, ny):
     # directional derivative at the field point: phi'(r) (d.n_x)/r
     proj = g.dot(nx[:, None])
     out = f[1] * proj / g.rs
@@ -185,7 +188,7 @@ def _normal_value(op, g, f, f0, nx, ny):
     return out
 
 
-def _value_normal(op, g, f, f0, nx, ny):
+def _value_normal(op, g, f, nx, ny):
     # directional derivative at the source point: -phi'(r) (d.n_y)/r
     proj = g.dot(ny)
     out = -f[1] * proj / g.rs
@@ -193,19 +196,19 @@ def _value_normal(op, g, f, f0, nx, ny):
     return out
 
 
-def _normal_normal(op, g, f, f0, nx, ny):
+def _normal_normal(op, g, f, nx, ny):
     # field-normal derivative of the source-normal derivative; symmetric
     # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
     rs, z = g.rs, g.z
     px, py, nn = g.dot(nx[:, None]), g.dot(ny), g.nn
     _, d1, d2 = f
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
-    if f0 is not None:
-        out[z] = (-f0[2] * nn)[z]
+    if z.any():
+        out[z] = -d2[z] * nn[z]
     return out
 
 
-def _op_value(op, g, f, f0, nx, ny):
+def _op_value(op, g, f, nx, ny):
     # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r
     rs, z = g.rs, g.z
     phi, d1, d2 = f
@@ -213,14 +216,14 @@ def _op_value(op, g, f, f0, nx, ny):
     out = D * (d2 + d1 / rs) + gamma * phi
     if np.any(v):
         out -= d1 * g.dot(v) / rs
-    if f0 is not None:
-        out[z] = 2.0 * D * f0[2] + gamma * f0[0]
+    if z.any():
+        out[z] = 2.0 * D * d2[z] + gamma * phi[z]
     return out
 
 
-def _value_adjoint(op, g, f, f0, nx, ny):
+def _value_adjoint(op, g, f, nx, ny):
     # the adjoint-image trial function L* phi, valued at the field point
-    return _op_value(adjoint_of(op), g, f, f0, nx, ny)
+    return _op_value(adjoint_of(op), g, f, nx, ny)
 
 
 def _lap_derivative(f, rs: np.ndarray) -> np.ndarray:
@@ -228,58 +231,56 @@ def _lap_derivative(f, rs: np.ndarray) -> np.ndarray:
     return f[3] + f[2] / rs - f[1] / rs**2
 
 
-def _op_normal(op, g, f, f0, nx, ny):
+def _op_normal(op, g, f, nx, ny):
     # L (field) applied to the source-normal column
     rs, z = g.rs, g.z
     d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     py = g.dot(ny)
     out = -(D * _lap_derivative(f, rs) + gamma * d1) * py / rs
+    vn = np.broadcast_to(ny @ v, out.shape)
     if np.any(v):
         vd = g.dot(v)
-        vn = np.broadcast_to(ny @ v, out.shape)
         out += d2 * py * vd / rs**2 + d1 * (vn / rs - py * vd / rs**3)
-    if f0 is not None:
-        vn = np.broadcast_to(ny @ v, out.shape)
-        out[z] = (f0[2] * vn)[z]
+    if z.any():
+        out[z] = d2[z] * vn[z]
     return out
 
 
-def _normal_adjoint(op, g, f, f0, nx, ny):
+def _normal_adjoint(op, g, f, nx, ny):
     # field-normal derivative of the L* image
     rs, z = g.rs, g.z
     d1, d2 = f[1], f[2]
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     px = g.dot(nx[:, None])
     out = (D * _lap_derivative(f, rs) + gamma * d1) * px / rs
+    vn = np.broadcast_to((nx @ v)[:, None], out.shape)
     if np.any(v):
         vd = g.dot(v)
-        vn = np.broadcast_to((nx @ v)[:, None], out.shape)
         out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
-    if f0 is not None:
-        vn = np.broadcast_to((nx @ v)[:, None], out.shape)
-        out[z] = (f0[2] * vn)[z]
+    if z.any():
+        out[z] = d2[z] * vn[z]
     return out
 
 
-def _op_adjoint(op, g, f, f0, nx, ny):
+def _op_adjoint(op, g, f, nx, ny):
     # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2
     rs, z = g.rs, g.z
     phi, d1, d2, d3, d4 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
+    vv = float(v @ v)
     bilap = d4 + 2.0 * d3 / rs - d2 / rs**2 + d1 / rs**3
     lap = d2 + d1 / rs
     out = D * D * bilap + 2.0 * gamma * D * lap + gamma * gamma * phi
     if np.any(v):
         vd = g.dot(v)
-        vv = float(v @ v)
         out -= d2 * vd**2 / rs**2 + d1 * (vv / rs - vd**2 / rs**3)
-    if f0 is not None:
+    if z.any():
         out[z] = (
-            D * D * (8.0 / 3.0) * f0[4]
-            + 4.0 * gamma * D * f0[2]
-            + gamma * gamma * f0[0]
-            - f0[2] * float(v @ v)
+            D * D * (8.0 / 3.0) * d4[z]
+            + 4.0 * gamma * D * d2[z]
+            + gamma * gamma * phi[z]
+            - d2[z] * vv
         )
     return out
 
@@ -328,14 +329,9 @@ def _block(op, kernels, pole, row, col, outs):
     for i in range(0, len(X), step):
         rows = slice(i, i + step)
         g = _Pairs(pole, X[rows], Y, f"{rk} rows x {ck} columns", nn if nn is None else nn[rows])
-        # plain values are exact at any separation; derivatives are read at
-        # the safe radii (`r` itself unless pairs coincide), whose coincident
-        # entries the formulas overwrite from the derivatives at r = 0
-        rs = g.rs if order else g.r
-        fs = derivs_upto_many(kernels, rs, order)
-        f0s = derivs_upto_many(kernels, 0.0, order) if rs is not g.r else [None] * len(kernels)
+        fs = derivs_upto_many(kernels, g.r, order)
         tx = nx if nx is None else nx[rows]
-        tile = [formula(op, g, f, f0, tx, ny) for f, f0 in zip(fs, f0s)]
+        tile = [formula(op, g, f, tx, ny) for f in fs]
         if outs is None:
             return tile
         for out, a in zip(outs, tile):

@@ -171,12 +171,18 @@ def test_tail_magnitude_decreases_for_decaying_chain():
         for j in range(4)
     )
     gch = tuple((lambda q: np.zeros_like(np.atleast_2d(q))) for _ in range(4))
-    tails = []
+    probes = probe_grid(DISK)
+    tails, errs = [], []
     for M in (1, 2, 3):
         prob = bpm.MrmProblem(operator=op, bc=bc, f_chain=fch, order=M, f_grad_chain=gch)
         sol = bpm.solve_bpm(nodes, prob, chain_for(op, M))
         tails.append(sol.tail_magnitude)
+        errs.append(compute_errors(sol.evaluate, exact, probes).l2_rel_err)
     assert tails[0] > tails[1] > tails[2]
+    # at k != 1 the chain index shows in the error: 2.1e-2, 3.5e-3, 5.6e-4
+    # here, while an off-by-one chain k^(2(j+1)) reads 7.7e-3, 2.8e-2, 2.4e-2
+    assert errs[0] >= 4 * errs[1] and errs[1] >= 4 * errs[2]
+    assert errs[2] <= 2e-3
 
 
 def test_gradient_chain_fallback_matches_analytic():

@@ -10,6 +10,8 @@ from conftest import fd_operator_2d, nested_normal_fd
 from rbfbench.errors import KernelSmoothnessError, ParameterError, SingularityError
 from rbfbench.kernels import RadialKernel, build_kernel, higher_order_solution
 from rbfbench.operators import (
+    COLUMN_KINDS,
+    ROW_KINDS,
     OperatorSpec,
     adjoint_of,
     collocation_matrix,
@@ -229,11 +231,55 @@ def test_ll_star_matches_nested_stencils():
     assert got == pytest.approx(want, rel=1e-5)
 
 
-def test_ll_star_coincident_limit():
-    # for the Gaussian with c=1: bilaplacian limit 8/3 * phi''''(0) = 32
-    kern = build_kernel("gaussian", c=1.0)
-    val = ll_star_matrix(laplace(), kern, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0]
-    assert val == pytest.approx(32.0)
+def _coincident_limit(op, kern, kind, nx, ny):
+    # the analytic r -> 0 limit of the (row, column) block `kind` at one pair
+    # with normals nx and ny, from the kernel's derivatives at r = 0
+    phi, _, d2, _, d4 = kern.derivs_upto(0.0, 4)
+    D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
+    return {
+        ("value", "value"): phi,
+        ("value", "normal"): 0.0,
+        ("value", "adjoint"): 2.0 * D * d2 + gamma * phi,
+        ("normal", "value"): 0.0,
+        ("normal", "normal"): -d2 * (nx @ ny),
+        ("normal", "adjoint"): d2 * (nx @ v),
+        ("op", "value"): 2.0 * D * d2 + gamma * phi,
+        ("op", "normal"): d2 * (ny @ v),
+        ("op", "adjoint"): (8.0 / 3.0) * D * D * d4
+        + 4.0 * gamma * D * d2
+        + gamma * gamma * phi
+        - d2 * (v @ v),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", [(r, c) for r in ROW_KINDS for c in COLUMN_KINDS], ids="-".join)
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
+@pytest.mark.parametrize(
+    "kern",
+    [
+        build_kernel("gaussian", c=1.0),
+        build_kernel("mq", c=0.9),
+        build_kernel("helmholtz_gs_2d", k=2.0),
+    ],
+    ids=lambda k: k.family,
+)
+def test_coincident_limits(kern, op, kind):
+    # every coincident entry of every block is its analytic limit; for the
+    # Gaussian with c = 1 the bilaplacian limit 8/3 * phi''''(0) is 32
+    X = np.array([(0.1, 0.2), (-0.4, 0.3), (0.5, -0.6)])
+    Y = np.array([(0.5, -0.6), (0.7, 0.7), (0.1, 0.2), (-0.2, -0.9)])
+    tx, ty = np.array([0.3, 1.9, 4.0]), np.array([0.6, 2.5, 0.9, 5.1])
+    nx = np.column_stack([np.cos(tx), np.sin(tx)])
+    ny = np.column_stack([np.cos(ty), np.sin(ty)])
+    rows = {"value": ("value", X), "normal": ("normal", X, nx), "op": ("op", X)}
+    cols = {"value": ("value", Y), "normal": ("normal", Y, ny), "adjoint": ("adjoint", Y)}
+    A = collocation_matrix(op, kern, [rows[kind[0]]], [cols[kind[1]]])
+    pairs = [(0, 2), (2, 0)]
+    got = [A[i, j] for i, j in pairs]
+    want = [_coincident_limit(op, kern, kind, nx[i], ny[j]) for i, j in pairs]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    if kern.family == "gaussian" and op.kind == "laplace_2d" and kind == ("op", "adjoint"):
+        assert got == pytest.approx([32.0, 32.0])
 
 
 def test_normal_of_adjoint_image_matches_differences():
@@ -356,9 +402,11 @@ def test_collocation_matrix_stacks_the_block_builders():
     [build_kernel("gaussian", c=0.9), higher_order_solution(helmholtz(1.3), 2)],
     ids=["gaussian", "helmholtz_chain_2"],
 )
-def test_transposed_blocks_match_single_block_builds(kern):
-    # the second of two transposed blocks reads the first one's kernel
-    # derivatives; it must equal the block built on its own, bit for bit
+def test_stacked_blocks_match_single_block_builds(kern):
+    # value and normal groups stacked against themselves: each block, the
+    # two transposed off-diagonal ones included, is written into its place
+    # in the stacked matrix and must equal the block built on its own, bit
+    # for bit
     from rbfbench.operators import kernel_value_matrix, mixed_normal_matrix
 
     rng = np.random.default_rng(5)
@@ -451,7 +499,9 @@ def _count_tiles(monkeypatch):
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
 def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
     # TILE = 17 elements is 2 rows of 7 columns: each of the 9 blocks takes 12
-    # tiles, the last one row, and the coincident pair falls in tile 10 only
+    # tiles, the last one row, and the coincident pair falls in tile 10 only;
+    # each tile makes one derivative pass, at its pair radii, and the
+    # coincident tile reads its limits from it (no scalar pass at r = 0)
     from rbfbench import operators
 
     rows, cols = _tiled_groups()
@@ -459,8 +509,17 @@ def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
     whole = collocation_matrix(op, kern, rows, cols)
     monkeypatch.setattr(operators, "TILE", 17)
     tiles = _count_tiles(monkeypatch)
+    passes = []
+    real = operators.derivs_upto_many
+
+    def counting(kernels, r, n):
+        passes.append(np.shape(r))
+        return real(kernels, r, n)
+
+    monkeypatch.setattr(operators, "derivs_upto_many", counting)
     tiled = collocation_matrix(op, kern, rows, cols)
     assert tiles == ([2] * 11 + [1]) * 9
+    assert passes == [(t, 7) for t in tiles]
     assert np.array_equal(tiled, whole)
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):
