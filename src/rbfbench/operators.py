@@ -14,12 +14,12 @@ analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
 and one derivative pass each, straight into the output. Coincident
 field/source pairs (r below 1e-8) are patched with the analytic limits,
-read from that same pass (every smooth kernel's generator returns its
-r = 0 limits); for smooth radial kernels the gradient at the origin is
-the zero vector and the Laplacian limit is 2*phi''(0). Every solved field
-of every scheme is an `Expansion`, a sum of kernel expansions evaluated
-through the same function, and the check `homogeneous_residual` is one
-call of it too.
+read from that same pass at r = 0 (every smooth kernel's generator
+returns its r = 0 limits); for smooth radial kernels the gradient at the
+origin is the zero vector and the Laplacian limit is 2*phi''(0). Every
+solved field of every scheme is an `Expansion`, a sum of kernel
+expansions evaluated through the same function, and the check
+`homogeneous_residual` is one call of it too.
 """
 
 from __future__ import annotations
@@ -170,10 +170,11 @@ class _Pairs:
 
 # Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
 # below, d.w = g.dot(w); `g.rs` may be `g.r` itself, so neither is written
-# into) and `f`, the kernel's radial derivatives at the pair radii (phi,
-# phi', ... up to the order `_FORMULAS` lists). Every smooth kernel's
-# generator returns its r = 0 limits, so a formula patches the coincident
-# entries (the mask `g.z`) with analytic limits read from `f` there.
+# into) and `f`, the kernel's radial derivatives at the pair radii `g.r`,
+# which `_block` first sets to 0 on the coincident mask `g.z` (phi, phi',
+# ... up to the order `_FORMULAS` lists). Every smooth kernel's generator
+# returns its r = 0 limits, so a formula patches the coincident entries
+# with analytic limits read there.
 
 
 def _value_value(op, g, f, nx, ny):
@@ -329,6 +330,8 @@ def _block(op, kernels, pole, row, col, outs):
     for i in range(0, len(X), step):
         rows = slice(i, i + step)
         g = _Pairs(pole, X[rows], Y, f"{rk} rows x {ck} columns", nn if nn is None else nn[rows])
+        if order and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
+            np.copyto(g.r, 0.0, where=g.z)
         fs = derivs_upto_many(kernels, g.r, order)
         tx = nx if nx is None else nx[rows]
         tile = [formula(op, g, f, tx, ny) for f in fs]

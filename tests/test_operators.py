@@ -264,22 +264,24 @@ def _coincident_limit(op, kern, kind, nx, ny):
     ids=lambda k: k.family,
 )
 def test_coincident_limits(kern, op, kind):
-    # every coincident entry of every block is its analytic limit; for the
-    # Gaussian with c = 1 the bilaplacian limit 8/3 * phi''''(0) is 32
+    # every coincident entry of every block is its analytic limit, also for
+    # a pair 1e-9 apart (under COINCIDENT_TOL, where helmholtz_gs_2d's
+    # derivatives cancel); for the Gaussian with c = 1 the bilaplacian limit
+    # 8/3 * phi''''(0) is 32
     X = np.array([(0.1, 0.2), (-0.4, 0.3), (0.5, -0.6)])
-    Y = np.array([(0.5, -0.6), (0.7, 0.7), (0.1, 0.2), (-0.2, -0.9)])
+    Y = np.array([(0.5, -0.6), (0.7, 0.7), (0.1, 0.2), (-0.4 + 1e-9, 0.3)])
     tx, ty = np.array([0.3, 1.9, 4.0]), np.array([0.6, 2.5, 0.9, 5.1])
     nx = np.column_stack([np.cos(tx), np.sin(tx)])
     ny = np.column_stack([np.cos(ty), np.sin(ty)])
     rows = {"value": ("value", X), "normal": ("normal", X, nx), "op": ("op", X)}
     cols = {"value": ("value", Y), "normal": ("normal", Y, ny), "adjoint": ("adjoint", Y)}
     A = collocation_matrix(op, kern, [rows[kind[0]]], [cols[kind[1]]])
-    pairs = [(0, 2), (2, 0)]
+    pairs = [(0, 2), (2, 0), (1, 3)]
     got = [A[i, j] for i, j in pairs]
     want = [_coincident_limit(op, kern, kind, nx[i], ny[j]) for i, j in pairs]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     if kern.family == "gaussian" and op.kind == "laplace_2d" and kind == ("op", "adjoint"):
-        assert got == pytest.approx([32.0, 32.0])
+        assert got == pytest.approx([32.0, 32.0, 32.0])
 
 
 def test_normal_of_adjoint_image_matches_differences():
