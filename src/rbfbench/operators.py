@@ -12,11 +12,19 @@ operator images L, columns are kernels, source-normal derivatives or
 adjoint images L*, and each of the nine (row, column) pairs is one
 analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
-and one derivative pass each, straight into the output. Coincident
-field/source pairs (r below 1e-8) are patched with the analytic limits,
-read from that same pass at r = 0 (every smooth kernel's generator
-returns its r = 0 limits); for smooth radial kernels the gradient at the
-origin is the zero vector and the Laplacian limit is 2*phi''(0). Every
+and one derivative pass each, straight into the output. A block of at
+least two tiles per usable core (`CORES`, from the process's CPU
+affinity) shares its tiles round-robin between the calling thread and
+the CORES - 1 threads of one pool started on first use, NumPy and SciPy
+releasing the interpreter lock in their loops; each tile writes only its
+own rows, so no bit changes. The other blocks are built by the caller
+alone, tile by tile in order: a singular kernel's pole must be refused in
+the first tile that holds it, and on a block under two tiles per core a
+handoff to a worker costs more than it saves. Coincident field/source
+pairs (r below 1e-8) are patched with the analytic limits, read from
+that same pass at r = 0 (every smooth kernel's generator returns its
+r = 0 limits); for smooth radial kernels the gradient at the origin is
+the zero vector and the Laplacian limit is 2*phi''(0). Every
 solved field of every scheme is an `Expansion`, a sum of kernel
 expansions evaluated through the same function, and the check
 `homogeneous_residual` is one call of it too.
@@ -25,6 +33,9 @@ expansions evaluated through the same function, and the check
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -38,9 +49,37 @@ from .kernels import RadialKernel, derivs_upto_many
 #: below this separation a field/source pair is treated as coincident
 COINCIDENT_TOL = 1e-8
 
-#: most elements in one row tile of a block: a tile's eight or so live
-#: float64 temporaries (256 KiB each) then stay in a 2 MiB per-core L2
+#: most elements in one row tile of a block, so that a tile's eight or so
+#: live float64 temporaries (256 KiB each) stay in a 2 MiB per-core L2. On
+#: a 2-core machine, tiles of 8K, 16K, 24K and 32K elements shared by both
+#: cores built the (128, 1024) mixed-BC MKM system in 93, 65, 54 and 51 ms
+#: (81 ms on one core); with `_Pairs` keeping no difference planes where a
+#: block projects none, two 32K tiles in flight keep that assembly's memory
+#: peak under 1.5x its matrix's bytes
 TILE = 2**15
+
+#: cores this process may run on, which share the row tiles of large blocks
+CORES = len(os.sched_getaffinity(0))
+
+_POOL = None  # the CORES - 1 tile workers, started on first use, not at import
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(CORES - 1, "rbfbench-tile")
+        return _POOL
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads, so it starts its own pool
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 OPERATOR_KINDS = (
     "laplace_2d",
@@ -135,14 +174,18 @@ class _Pairs:
 
     x_i - y_j is held as two C-contiguous (m, n) planes `dx` and `dy`, with
     length `r`; `dot(w)` projects it on `w`, whose last axis of length 2
-    broadcasts. The coincident mask `z` (r < COINCIDENT_TOL) and the safe
-    divisor `rs` (r with coincident pairs set to 1, else `r` itself) are
-    computed on first use, since plain kernel values need neither. `nn` is
-    n_x.n_y of normal rows against normal columns (else None). Refuses poles
-    of singular kernels.
+    broadcasts. Without `planes` only `r` is kept, two arrays fewer for
+    blocks that project nothing. The coincident mask `z` (r <
+    COINCIDENT_TOL) and the safe divisor `rs` are computed on first use,
+    since plain kernel values need neither; `rs` is `r` itself with its
+    coincident entries set to 1 in place, so `r` is read (by the
+    derivative pass) before `rs`. `nn` is n_x.n_y of normal rows against
+    normal columns (else None). Refuses poles of singular kernels.
     """
 
-    def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str, nn=None):
+    def __init__(
+        self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str, nn=None, planes=True
+    ):
         self.nn = nn
         self.dx = X[:, :1] - Y[:, 0]
         self.dy = X[:, 1:] - Y[:, 1]
@@ -150,6 +193,8 @@ class _Pairs:
         self.r = self.dx * self.dx
         self.r += self.dy * self.dy
         np.sqrt(self.r, out=self.r)
+        if not planes:
+            del self.dx, self.dy
         if kernel.singular_at_origin and self.z.any():
             raise SingularityError(
                 f"{what}: coincident points hit the pole of kernel {kernel.name}"
@@ -165,7 +210,9 @@ class _Pairs:
 
     @cached_property
     def rs(self) -> np.ndarray:
-        return np.where(self.z, 1.0, self.r) if self.z.any() else self.r
+        if self.z.any():
+            np.copyto(self.r, 1.0, where=self.z)
+        return self.r
 
 
 # Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
@@ -326,19 +373,42 @@ def _block(op, kernels, pole, row, col, outs):
     # BLAS rounds a row slice of nx @ ny.T unlike the whole product, so the
     # product is taken once per block and sliced per tile
     nn = nx @ ny.T if rk == ck == "normal" else None
-    step = max(1, TILE // len(Y))
-    for i in range(0, len(X), step):
+    # the formulas project x - y on normals and on a convection velocity only
+    planes = "normal" in (rk, ck) or (op is not None and op.kind == "convection_diffusion_2d")
+    step, what = max(1, TILE // len(Y)), f"{rk} rows x {ck} columns"
+
+    def tile(i):
         rows = slice(i, i + step)
-        g = _Pairs(pole, X[rows], Y, f"{rk} rows x {ck} columns", nn if nn is None else nn[rows])
+        g = _Pairs(pole, X[rows], Y, what, nn if nn is None else nn[rows], planes)
         if order and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
             np.copyto(g.r, 0.0, where=g.z)
         fs = derivs_upto_many(kernels, g.r, order)
         tx = nx if nx is None else nx[rows]
-        tile = [formula(op, g, f, tx, ny) for f in fs]
         if outs is None:
-            return tile
-        for out, a in zip(outs, tile):
-            out[rows] = a
+            return [formula(op, g, f, tx, ny) for f in fs]
+        for out, f in zip(outs, fs):
+            out[rows] = formula(op, g, f, tx, ny)
+
+    if outs is None:
+        return tile(0)
+    starts = range(0, len(X), step)
+    # a pole is refused in the first tile that holds it, and handing tiles to a worker
+    # costs more than it saves on blocks under two tiles per core: the caller builds
+    # those alone, in order; the others are shared round-robin with the pool's workers
+    if pole.singular_at_origin or len(starts) < 2 * CORES:
+        return _build(tile, starts)
+    shares = [_pool().submit(_build, tile, starts[w::CORES]) for w in range(1, CORES)]
+    try:
+        _build(tile, starts[::CORES])
+    finally:
+        wait(shares)
+    for share in shares:
+        share.result()
+
+
+def _build(tile, starts):
+    for i in starts:
+        tile(i)
 
 
 def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:

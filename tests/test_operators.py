@@ -1,4 +1,6 @@
+import multiprocessing
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -503,13 +505,15 @@ def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
     # TILE = 17 elements is 2 rows of 7 columns: each of the 9 blocks takes 12
     # tiles, the last one row, and the coincident pair falls in tile 10 only;
     # each tile makes one derivative pass, at its pair radii, and the
-    # coincident tile reads its limits from it (no scalar pass at r = 0)
+    # coincident tile reads its limits from it (no scalar pass at r = 0); on
+    # one core the tiles are built in order
     from rbfbench import operators
 
     rows, cols = _tiled_groups()
     kern = build_kernel("mq", c=0.9)
     whole = collocation_matrix(op, kern, rows, cols)
     monkeypatch.setattr(operators, "TILE", 17)
+    monkeypatch.setattr(operators, "CORES", 1)
     tiles = _count_tiles(monkeypatch)
     passes = []
     real = operators.derivs_upto_many
@@ -555,3 +559,118 @@ def test_pole_in_a_later_tile_is_refused(monkeypatch):
     with pytest.raises(SingularityError, match="pole"):
         collocation_matrix(laplace(), build_kernel("laplace_fs_2d"), rows[:1], cols[:1])
     assert tiles == [2] * 10
+
+
+CHAIN = [higher_order_solution(helmholtz(1.3), m) for m in range(4)]
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
+@pytest.mark.parametrize(
+    "kernels",
+    [[build_kernel("mq", c=0.9)], [build_kernel("gaussian", c=0.9)], CHAIN],
+    ids=["mq", "gaussian", "helmholtz_chain"],
+)
+def test_shared_row_tiles_build_the_serial_matrices(monkeypatch, kernels, op, cores):
+    # TILE = 17: each block's 12 tiles are shared round-robin between the
+    # caller and cores - 1 workers, the coincident tile 10 falling to a
+    # worker, and every kind the kernels' top order allows is bit for bit
+    # the block built by the caller alone
+    from rbfbench import operators
+    from rbfbench.operators import _FORMULAS, collocation_matrices
+
+    rows, cols = _tiled_groups()
+    top = min(kern.top_order for kern in kernels)
+    monkeypatch.setattr(operators, "TILE", 17)
+    threads = set()
+    real = operators._Pairs
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_Pairs", recording)
+    kinds = 0
+    for row in rows:
+        for col in cols:
+            if _FORMULAS[row[0], col[0]][1] > top:
+                continue
+            monkeypatch.setattr(operators, "CORES", 1)
+            serial = collocation_matrices(op, kernels, [row], [col])
+            monkeypatch.setattr(operators, "CORES", cores)
+            shared = collocation_matrices(op, kernels, [row], [col])
+            for a, b in zip(shared, serial):
+                assert np.array_equal(a, b), (row[0], col[0])
+            kinds += 1
+    assert kinds == (9 if top >= 4 else 6)
+    assert len(threads) > 1
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_tile_is_raised_after_every_share_is_done(monkeypatch, failing):
+    # the caller waits on its workers also when its own share raises, then
+    # raises the first error of its own share, else a worker's, unchanged
+    from rbfbench import operators
+
+    rows, cols = _tiled_groups()
+    monkeypatch.setattr(operators, "TILE", 17)
+    monkeypatch.setattr(operators, "CORES", 2)
+    caller = threading.get_ident()
+    done = []
+    real = operators.derivs_upto_many
+
+    def derivs(kernels, r, n):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise ValueError(f"tile failed on the {failing}")
+        out = real(kernels, r, n)
+        done.append(r.shape)
+        return out
+
+    monkeypatch.setattr(operators, "derivs_upto_many", derivs)
+    with pytest.raises(ValueError) as err:
+        collocation_matrix(None, build_kernel("mq", c=0.9), rows[:1], cols[:1])
+    assert str(err.value) == f"tile failed on the {failing}"
+    # the other side's six tiles were all built before the raise
+    assert len(done) == 6
+
+
+def test_repeated_shared_builds_start_no_more_threads(monkeypatch):
+    from rbfbench import operators
+
+    rows, cols = _tiled_groups()
+    kern = build_kernel("gaussian", c=0.9)
+    monkeypatch.setattr(operators, "TILE", 17)
+    monkeypatch.setattr(operators, "CORES", 2)
+    first = collocation_matrix(laplace(), kern, rows, cols)
+    count = threading.active_count()
+    for _ in range(20):
+        assert np.array_equal(collocation_matrix(laplace(), kern, rows, cols), first)
+        assert threading.active_count() == count
+
+
+_MQ = build_kernel("mq", c=0.5)
+
+
+def _ll_star_in_child(X, want):
+    raise SystemExit(0 if np.array_equal(ll_star_matrix(laplace(), _MQ, X, X), want) else 1)
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_builds_shared_tiles_with_its_own_workers(monkeypatch):
+    # a fork child has none of the parent's pool threads: tiles handed to the
+    # parent's pool would never run, so the child must start its own
+    from rbfbench import operators
+
+    monkeypatch.setattr(operators, "CORES", 2)
+    X = np.random.default_rng(3).uniform(-1, 1, (600, 2))
+    want = ll_star_matrix(laplace(), _MQ, X, X)  # 15 tiles, shared with the pool
+    assert operators._POOL is not None
+    child = multiprocessing.get_context("fork").Process(target=_ll_star_in_child, args=(X, want))
+    child.start()
+    child.join(timeout=20)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
