@@ -13,21 +13,24 @@ adjoint images L*, and each of the nine (row, column) pairs is one
 analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
 and one derivative pass each, straight into the output. A block of at
-least two tiles per usable core (`CORES`, from the process's CPU
-affinity) shares its tiles round-robin between the calling thread and
-the CORES - 1 threads of one pool started on first use, NumPy and SciPy
-releasing the interpreter lock in their loops; each tile writes only its
-own rows, so no bit changes. The other blocks are built by the caller
+least four tiles whose kernels have no pole is shared round-robin by
+k = min(CORES, tiles / 2, MAX_THREADS) threads: the caller and k - 1
+workers of one pool started on first use (`CORES` is the size of the
+process's CPU affinity set), NumPy and SciPy releasing the interpreter
+lock in their loops. Each thread takes tiles of 2 TILE / k elements, so
+the tiles in flight hold two serial tiles' memory on any machine. Every
+entry is an elementwise function of its own pair, and the BLAS products
+of the row normals are taken once per block, so neither the tiling nor
+the thread count changes a bit. The other blocks are built by the caller
 alone, tile by tile in order: a singular kernel's pole must be refused in
-the first tile that holds it, and on a block under two tiles per core a
-handoff to a worker costs more than it saves. Coincident field/source
-pairs (r below 1e-8) are patched with the analytic limits, read from
-that same pass at r = 0 (every smooth kernel's generator returns its
-r = 0 limits); for smooth radial kernels the gradient at the origin is
-the zero vector and the Laplacian limit is 2*phi''(0). Every
-solved field of every scheme is an `Expansion`, a sum of kernel
-expansions evaluated through the same function, and the check
-`homogeneous_residual` is one call of it too.
+the first tile that holds it, and blocks of two or three tiles, whose
+sharing is not yet measured end to end, stay as they were. Coincident field/source pairs (r below 1e-8)
+are patched with the analytic limits, read from that same pass at r = 0
+(every smooth kernel's generator returns its r = 0 limits); for smooth
+radial kernels the gradient at the origin is the zero vector and the
+Laplacian limit is 2*phi''(0). Every solved field of every scheme is an
+`Expansion`, a sum of kernel expansions evaluated through the same
+function, and the check `homogeneous_residual` is one call of it too.
 """
 
 from __future__ import annotations
@@ -53,15 +56,20 @@ COINCIDENT_TOL = 1e-8
 #: live float64 temporaries (256 KiB each) stay in a 2 MiB per-core L2. On
 #: a 2-core machine, tiles of 8K, 16K, 24K and 32K elements shared by both
 #: cores built the (128, 1024) mixed-BC MKM system in 93, 65, 54 and 51 ms
-#: (81 ms on one core); with `_Pairs` keeping no difference planes where a
-#: block projects none, two 32K tiles in flight keep that assembly's memory
-#: peak under 1.5x its matrix's bytes
+#: (81 ms on one core). A block shared by k threads takes tiles of
+#: 2 TILE / k elements; with `_Pairs` keeping no difference planes where a
+#: block projects none, the tiles in flight keep that assembly's memory
+#: peak under 1.5x its matrix
 TILE = 2**15
 
 #: cores this process may run on, which share the row tiles of large blocks
 CORES = len(os.sched_getaffinity(0))
 
-_POOL = None  # the CORES - 1 tile workers, started on first use, not at import
+#: most threads, the caller included, that share one block's tiles, so
+#: that a shared tile of 2 TILE / k elements keeps 16K or more (see TILE)
+MAX_THREADS = 4
+
+_POOL = None  # the MAX_THREADS - 1 tile workers, started on first use, not at import
 _POOL_LOCK = threading.Lock()
 
 
@@ -69,7 +77,7 @@ def _pool() -> ThreadPoolExecutor:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(CORES - 1, "rbfbench-tile")
+            _POOL = ThreadPoolExecutor(MAX_THREADS - 1, "rbfbench-tile")
         return _POOL
 
 
@@ -180,7 +188,8 @@ class _Pairs:
     since plain kernel values need neither; `rs` is `r` itself with its
     coincident entries set to 1 in place, so `r` is read (by the
     derivative pass) before `rs`. `nn` is n_x.n_y of normal rows against
-    normal columns (else None). Refuses poles of singular kernels.
+    normal columns, n_x.v (one column) of normal rows against adjoint
+    columns under velocity v, else None. Refuses poles of singular kernels.
     """
 
     def __init__(
@@ -302,7 +311,7 @@ def _normal_adjoint(op, g, f, nx, ny):
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     px = g.dot(nx[:, None])
     out = (D * _lap_derivative(f, rs) + gamma * d1) * px / rs
-    vn = np.broadcast_to((nx @ v)[:, None], out.shape)
+    vn = np.broadcast_to(g.nn, out.shape)
     if np.any(v):
         vd = g.dot(v)
         out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
@@ -370,15 +379,18 @@ def _block(op, kernels, pole, row, col, outs):
     if order > 2:
         for kernel in kernels:
             _require_fourth_order(kernel, order)
-    # BLAS rounds a row slice of nx @ ny.T unlike the whole product, so the
-    # product is taken once per block and sliced per tile
-    nn = nx @ ny.T if rk == ck == "normal" else None
+    # BLAS rounds a row slice of nx @ ny.T, and a one-row slice of nx @ v, unlike the
+    # whole product, so the block's product of its row normals is taken once and sliced
+    nn = None
+    if rk == ck == "normal":
+        nn = nx @ ny.T
+    elif (rk, ck) == ("normal", "adjoint"):
+        nn = (nx @ op.velocity_vec)[:, None]
     # the formulas project x - y on normals and on a convection velocity only
     planes = "normal" in (rk, ck) or (op is not None and op.kind == "convection_diffusion_2d")
     step, what = max(1, TILE // len(Y)), f"{rk} rows x {ck} columns"
 
-    def tile(i):
-        rows = slice(i, i + step)
+    def tile(rows):
         g = _Pairs(pole, X[rows], Y, what, nn if nn is None else nn[rows], planes)
         if order and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
             np.copyto(g.r, 0.0, where=g.z)
@@ -390,25 +402,28 @@ def _block(op, kernels, pole, row, col, outs):
             out[rows] = formula(op, g, f, tx, ny)
 
     if outs is None:
-        return tile(0)
+        return tile(slice(None))
+    # a pole is refused in the first tile that holds it, so the caller builds a singular
+    # kernel's block alone, tile by tile in order, and so a block of under two tiles per
+    # thread; the others are shared round-robin by k threads taking tiles of 2 TILE / k
+    # elements, two serial tiles' memory in flight whatever CORES is
+    k = min(CORES, -(-len(X) // step) // 2, MAX_THREADS)
+    if pole.singular_at_origin or k < 2:
+        return _build(tile, range(0, len(X), step), step)
+    step = max(1, 2 * TILE // (k * len(Y)))
     starts = range(0, len(X), step)
-    # a pole is refused in the first tile that holds it, and handing tiles to a worker
-    # costs more than it saves on blocks under two tiles per core: the caller builds
-    # those alone, in order; the others are shared round-robin with the pool's workers
-    if pole.singular_at_origin or len(starts) < 2 * CORES:
-        return _build(tile, starts)
-    shares = [_pool().submit(_build, tile, starts[w::CORES]) for w in range(1, CORES)]
+    shares = [_pool().submit(_build, tile, starts[w::k], step) for w in range(1, k)]
     try:
-        _build(tile, starts[::CORES])
+        _build(tile, starts[::k], step)
     finally:
         wait(shares)
     for share in shares:
         share.result()
 
 
-def _build(tile, starts):
+def _build(tile, starts, step):
     for i in starts:
-        tile(i)
+        tile(slice(i, i + step))
 
 
 def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols) -> np.ndarray:

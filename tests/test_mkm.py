@@ -112,6 +112,28 @@ def test_mixed_bc_assembly_writes_its_blocks_into_one_matrix():
     assert np.array_equal(system.matrix, np.block(blocks))
 
 
+@pytest.mark.parametrize("cores", [3, 4, 64])
+def test_mixed_bc_assembly_memory_does_not_grow_with_the_core_count(monkeypatch, cores):
+    # the tiles that threads share hold two serial tiles' memory whatever
+    # the core count, so the bound above holds on any machine
+    import tracemalloc
+
+    from rbfbench import operators
+
+    monkeypatch.setattr(operators, "CORES", cores)
+    p = get_problem("poisson_square_inhom")
+    nodes = partition_boundary(generate_nodes(SQUARE, 128, 1024, seed=7), p.bc_rule)
+    bc = bkm.BoundaryData.from_callables(nodes, p.exact, p.exact_grad)
+    fs = p.f_samples(nodes.all_points())
+    tracemalloc.start()
+    try:
+        system = mkm.assemble_mkm(nodes, p.operator, bc, fs, build_kernel("mq", c=0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * system.matrix.nbytes
+
+
 def test_rough_kernel_rejected():
     _, nodes, bc, fs = p2_setup(n_boundary=8, n_interior=5)
     with pytest.raises(KernelSmoothnessError):

@@ -1,5 +1,6 @@
 import multiprocessing
 import re
+import sys
 import threading
 from pathlib import Path
 
@@ -564,7 +565,7 @@ def test_pole_in_a_later_tile_is_refused(monkeypatch):
 CHAIN = [higher_order_solution(helmholtz(1.3), m) for m in range(4)]
 
 
-@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("cores", [2, 3, 8])
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
 @pytest.mark.parametrize(
     "kernels",
@@ -572,10 +573,10 @@ CHAIN = [higher_order_solution(helmholtz(1.3), m) for m in range(4)]
     ids=["mq", "gaussian", "helmholtz_chain"],
 )
 def test_shared_row_tiles_build_the_serial_matrices(monkeypatch, kernels, op, cores):
-    # TILE = 17: each block's 12 tiles are shared round-robin between the
-    # caller and cores - 1 workers, the coincident tile 10 falling to a
-    # worker, and every kind the kernels' top order allows is bit for bit
-    # the block built by the caller alone
+    # TILE = 17: each block of 12 serial tiles is shared round-robin by k =
+    # min(cores, 4) threads, in tiles of 2 rows (k = 2) or 1 row (k = 3, 4),
+    # the coincident row 19 falling to a worker, and every kind the kernels'
+    # top order allows is bit for bit the block built by the caller alone
     from rbfbench import operators
     from rbfbench.operators import _FORMULAS, collocation_matrices
 
@@ -674,3 +675,52 @@ def test_forked_child_builds_shared_tiles_with_its_own_workers(monkeypatch):
         child.join()
     assert not hung
     assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("cores", [2, 4, 64])
+def test_shared_tiles_in_flight_hold_two_serial_tiles(monkeypatch, cores):
+    # k threads take tiles of 2 TILE / k elements, k at most 4: the rows in
+    # flight never pass two serial tiles' worth, whatever the core count
+    from rbfbench import operators
+
+    X = np.random.default_rng(4).uniform(-1, 1, (300, 2))
+    monkeypatch.setattr(operators, "TILE", 400)
+    monkeypatch.setattr(operators, "CORES", cores)
+    tiles = _count_tiles(monkeypatch)
+    ll_star_matrix(laplace(), _MQ, X, X[:100])
+    k = min(cores, 4)
+    assert max(tiles) == 8 // k
+    assert len(tiles) == -(-300 // (8 // k))
+
+
+def test_one_row_tiles_keep_the_bits_of_the_normal_velocity_product(monkeypatch):
+    # a one-row slice of nx @ v rounds unlike the whole product, so a normal x
+    # adjoint block under a velocity takes it once and slices it per tile
+    from rbfbench import operators
+
+    rng = np.random.default_rng(5)
+    X, Y = rng.uniform(-1, 1, (41, 2)), rng.uniform(-1, 1, (8, 2))
+    t = rng.uniform(0, 2 * np.pi, 41)
+    rows, cols = [("normal", X, np.column_stack([np.cos(t), np.sin(t)]))], [("adjoint", Y)]
+    op, kern = convection_diffusion(0.8, (0.5, -0.4)), build_kernel("mq", c=0.9)
+    whole = collocation_matrix(op, kern, rows, cols)
+    monkeypatch.setattr(operators, "TILE", 8)  # one row per tile
+    assert np.array_equal(collocation_matrix(op, kern, rows, cols), whole)
+
+
+def test_shared_tiles_survive_frequent_thread_switches(monkeypatch):
+    # four threads on fewer cores, handing the interpreter lock over every
+    # microsecond: every shared tile still lands in its own rows
+    from rbfbench import operators
+
+    X = np.random.default_rng(6).uniform(-1, 1, (600, 2))
+    monkeypatch.setattr(operators, "CORES", 1)
+    serial = ll_star_matrix(laplace(), _MQ, X, X)
+    monkeypatch.setattr(operators, "CORES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(ll_star_matrix(laplace(), _MQ, X, X), serial)
+    finally:
+        sys.setswitchinterval(interval)
