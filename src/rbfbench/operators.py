@@ -15,9 +15,11 @@ derivatives), built in cache-sized row tiles of one pairwise geometry
 and one derivative pass each, straight into the output. A block of at
 least four tiles whose kernels have no pole is shared round-robin by
 k = min(CORES, tiles / 2, MAX_THREADS) threads: the caller and k - 1
-workers of one pool started on first use (`CORES` is the size of the
-process's CPU affinity set), NumPy and SciPy releasing the interpreter
-lock in their loops. Each thread takes tiles of 2 TILE / k elements, so
+workers of `pool()`, the package's one thread pool of MAX_THREADS - 1
+workers, started on first use and again in a forked child (`CORES` is the
+size of the process's CPU affinity set; `lsq` factors a second row block
+of a large least-squares system there too), NumPy, SciPy and LAPACK
+releasing the interpreter lock in their loops. Each thread takes tiles of 2 TILE / k elements, so
 the tiles in flight hold two serial tiles' memory on any machine. Every
 entry is an elementwise function of its own pair, and the BLAS products
 of the row normals are taken once per block, so neither the tiling nor
@@ -69,15 +71,15 @@ CORES = len(os.sched_getaffinity(0))
 #: that a shared tile of 2 TILE / k elements keeps 16K or more (see TILE)
 MAX_THREADS = 4
 
-_POOL = None  # the MAX_THREADS - 1 tile workers, started on first use, not at import
+_POOL = None  # the MAX_THREADS - 1 workers, started on first use, not at import
 _POOL_LOCK = threading.Lock()
 
 
-def _pool() -> ThreadPoolExecutor:
+def pool() -> ThreadPoolExecutor:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(MAX_THREADS - 1, "rbfbench-tile")
+            _POOL = ThreadPoolExecutor(MAX_THREADS - 1, "rbfbench-worker")
         return _POOL
 
 
@@ -412,7 +414,7 @@ def _block(op, kernels, pole, row, col, outs):
         return _build(tile, range(0, len(X), step), step)
     step = max(1, 2 * TILE // (k * len(Y)))
     starts = range(0, len(X), step)
-    shares = [_pool().submit(_build, tile, starts[w::k], step) for w in range(1, k)]
+    shares = [pool().submit(_build, tile, starts[w::k], step) for w in range(1, k)]
     try:
         _build(tile, starts[::k], step)
     finally:

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import lstsq
+from scipy.linalg.lapack import dgels, dgels_lwork
 
-from rbfbench import bkm, lsq
+from rbfbench import bkm, lsq, operators
 from rbfbench.errors import RankError, ShapeError
 from rbfbench.geometry import DomainSpec, generate_nodes, partition_boundary
 from rbfbench.kernels import build_kernel
@@ -250,16 +253,46 @@ def test_orthogonal_qr_matches_svd_solve_on_well_conditioned_system(rng, monkeyp
     assert res.cond_est < 1e3
 
 
-@pytest.mark.parametrize("defect", ["nearly_dependent", "zero_column"])
-def test_orthogonal_falls_back_to_min_norm_svd_solve(rng, monkeypatch, defect):
-    G = rng.standard_normal((12, 5))
+#: a two-block orthogonal solve's shape: both row halves hold N rows, N >= SPLIT_COLUMNS
+SPLIT = (2 * lsq.SPLIT_COLUMNS + 16, lsq.SPLIT_COLUMNS + 8)
+
+
+def _count_row_blocks(monkeypatch):
+    threads = []
+    real = lsq._qr_block
+
+    def spy(G, b, lwork):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return real(G, b, lwork)
+
+    monkeypatch.setattr(lsq, "_qr_block", spy)
+    return threads
+
+
+@pytest.mark.parametrize(
+    "defect, shape",
+    [
+        pytest.param(defect, shape, id=defect + suffix)
+        for shape, suffix in (((12, 5), ""), (SPLIT, "_split"))
+        for defect in ("nearly_dependent", "zero_column")
+    ],
+)
+def test_orthogonal_falls_back_to_min_norm_svd_solve(rng, monkeypatch, defect, shape):
+    M, N = shape
+    G = rng.standard_normal(shape)
     if defect == "nearly_dependent":
-        G[:, 4] = G[:, 1] + 1e-15 * rng.standard_normal(12)
-    else:  # R gets an exactly zero diagonal entry, which gels reports as info > 0
+        G[:, 4] = G[:, 1] + 1e-15 * rng.standard_normal(M)
+    else:  # R gets an exactly zero diagonal entry, which trtrs reports as info > 0
         G[:, 2] = 0.0
-    b = rng.standard_normal(12)
+    b = rng.standard_normal(M)
+    if defect == "zero_column":
+        # the tpqrt merge of two blocks keeps that zero exact
+        R, _ = lsq._triangularize(G, b)
+        assert R[2, 2] == 0.0
+    blocks = _count_row_blocks(monkeypatch)
     calls = _count_svd_calls(monkeypatch)
     res = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    assert len(blocks) == (2 if shape == SPLIT else 1)
     assert calls == [G.shape]
     assert res.cond_est > CONDITION_LIMIT
     # kappa_2 ~ 2e15 stays under gelsd's 1/eps rank cutoff; a zero column does not
@@ -267,3 +300,65 @@ def test_orthogonal_falls_back_to_min_norm_svd_solve(rng, monkeypatch, defect):
     assert np.all(np.isfinite(res.beta))
     want = lstsq(G, b)[0]
     assert np.max(np.abs(res.beta - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_split_size_system_matches_svd_solve(rng, monkeypatch):
+    G = rng.standard_normal((600, 300))
+    b = rng.standard_normal(600)
+    want = lstsq(G, b)[0]
+    blocks = _count_row_blocks(monkeypatch)
+    calls = _count_svd_calls(monkeypatch)
+    res = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    assert len(blocks) == 2 and calls == []
+    assert not res.rank_deficient
+    assert np.max(np.abs(res.beta - want)) <= 1e-10 * np.max(np.abs(want))
+    assert res.cond_est < 1e3
+
+
+@pytest.mark.parametrize("system", ["one_block", "two_blocks", "fallback"])
+def test_orthogonal_solve_leaves_the_callers_arrays_unchanged(rng, monkeypatch, system):
+    shape = (60, 25) if system == "one_block" else SPLIT
+    G = rng.standard_normal(shape)
+    if system == "fallback":
+        G[:, 2] = 0.0
+    b = rng.standard_normal(shape[0])
+    G0, b0 = G.copy(), b.copy()
+    monkeypatch.setattr(operators, "CORES", 2)
+    first = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    assert G.tobytes() == G0.tobytes() and b.tobytes() == b0.tobytes()
+    again = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    assert again.beta.tobytes() == first.beta.tobytes()
+
+
+def test_two_block_solve_bits_do_not_depend_on_the_core_count(rng, monkeypatch):
+    G = rng.standard_normal(SPLIT)
+    b = rng.standard_normal(SPLIT[0])
+    system = lsq.OverdeterminedSystem(G=G, b=b)
+    blocks = _count_row_blocks(monkeypatch)
+    seen = set()
+    for cores in (1, 2, 2, 1, 2, 1):
+        monkeypatch.setattr(operators, "CORES", cores)
+        blocks.clear()
+        # other arrays between the calls move the blocks' copies in memory
+        padding = [np.ones(1000 * k + 7) for k in range(1, 2 + len(seen) + cores)]
+        res = lsq.solve_least_squares(system, "orthogonal")
+        seen.add((res.beta.tobytes(), res.cond_est))
+        # the caller factors one block and a pool worker the other
+        assert sorted(blocks) == [False, True]
+        del padding
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(152, 76), (248, 124), (2 * lsq.SPLIT_COLUMNS - 1, lsq.SPLIT_COLUMNS), (300, 40)],
+)
+def test_one_block_solve_is_gels_bit_for_bit(rng, monkeypatch, shape):
+    G = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    blocks = _count_row_blocks(monkeypatch)
+    res = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    lwork, _ = dgels_lwork(*shape, 1)
+    _, x, info = dgels(G, b[:, None], lwork=int(lwork))
+    assert info == 0 and len(blocks) == 1
+    assert res.beta.tobytes() == x[: shape[1], 0].tobytes()
