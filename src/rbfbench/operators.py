@@ -19,8 +19,9 @@ workers of `pool()`, the package's one thread pool of MAX_THREADS - 1
 workers, started on first use and again in a forked child (`CORES` is the
 size of the process's CPU affinity set; `lsq` factors a second row block
 of a large least-squares system there too), NumPy, SciPy and LAPACK
-releasing the interpreter lock in their loops. Each thread takes tiles of 2 TILE / k elements, so
-the tiles in flight hold two serial tiles' memory on any machine. Every
+releasing the interpreter lock in their loops. Each thread takes tiles of
+2 TILE / k elements, so the tiles in flight hold two serial tiles' memory
+on any machine. Every
 entry is an elementwise function of its own pair, and the BLAS products
 of the row normals are taken once per block, so neither the tiling nor
 the thread count changes a bit. The other blocks are built by the caller

@@ -278,7 +278,7 @@ def _count_row_blocks(monkeypatch):
     ],
 )
 def test_orthogonal_falls_back_to_min_norm_svd_solve(rng, monkeypatch, defect, shape):
-    M, N = shape
+    M = shape[0]
     G = rng.standard_normal(shape)
     if defect == "nearly_dependent":
         G[:, 4] = G[:, 1] + 1e-15 * rng.standard_normal(M)
@@ -316,14 +316,13 @@ def test_split_size_system_matches_svd_solve(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("system", ["one_block", "two_blocks", "fallback"])
-def test_orthogonal_solve_leaves_the_callers_arrays_unchanged(rng, monkeypatch, system):
+def test_orthogonal_solve_leaves_the_callers_arrays_unchanged(rng, system):
     shape = (60, 25) if system == "one_block" else SPLIT
     G = rng.standard_normal(shape)
     if system == "fallback":
         G[:, 2] = 0.0
     b = rng.standard_normal(shape[0])
     G0, b0 = G.copy(), b.copy()
-    monkeypatch.setattr(operators, "CORES", 2)
     first = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
     assert G.tobytes() == G0.tobytes() and b.tobytes() == b0.tobytes()
     again = lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
@@ -336,11 +335,11 @@ def test_two_block_solve_bits_do_not_depend_on_the_core_count(rng, monkeypatch):
     system = lsq.OverdeterminedSystem(G=G, b=b)
     blocks = _count_row_blocks(monkeypatch)
     seen = set()
-    for cores in (1, 2, 2, 1, 2, 1):
+    for i, cores in enumerate((1, 2, 2, 1, 2, 1)):
         monkeypatch.setattr(operators, "CORES", cores)
         blocks.clear()
         # other arrays between the calls move the blocks' copies in memory
-        padding = [np.ones(1000 * k + 7) for k in range(1, 2 + len(seen) + cores)]
+        padding = [np.ones(1000 * k + 7) for k in range(1, 3 + i)]
         res = lsq.solve_least_squares(system, "orthogonal")
         seen.add((res.beta.tobytes(), res.cond_est))
         # the caller factors one block and a pool worker the other
