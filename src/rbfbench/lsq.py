@@ -14,17 +14,18 @@ geqrf, ormqr and trtrs with gels's own workspace, which is LAPACK gels bit
 for bit (gels alone rescales a G whose largest entry nears the overflow or
 underflow threshold). A larger G is a tall-skinny QR of two row blocks
 (Demmel, Grigori, Hoemmen & Langou 2012): the caller factors the upper
-half while a worker of `operators.pool()` factors the lower one, and
-tpqrt merges the two R factors, tpmqrt their halves of Q^T b. The block
-count depends on G's shape alone, not on `operators.CORES`, and a block's
-LAPACK calls are the same on any thread, so a solve's bits do not depend
-on the core count (one core runs the two blocks in turn).
+half while a worker of the `operators` thread pool factors the lower one
+(one `operators.share` call), and tpqrt merges the two R factors, tpmqrt
+their halves of Q^T b. The block count depends on G's shape alone, not on
+`operators.CORES`, and a block's LAPACK calls are the same on any thread,
+so a solve's bits do not depend on the core count (one core runs the two
+blocks in turn).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -142,12 +143,8 @@ def _triangularize(G: np.ndarray, b: np.ndarray):
     half = M // 2
     if N < SPLIT_COLUMNS or half < N:
         return _qr_block(G, b, lwork)
-    lower = operators.pool().submit(_qr_block, G[half:], b[half:], lwork)
-    try:
-        R, c = _qr_block(G[:half], b[:half], lwork)
-    finally:
-        wait([lower])
-    R2, c2 = lower.result()
+    halves = [partial(_qr_block, G[s], b[s], lwork) for s in (slice(half), slice(half, None))]
+    (R, c), (R2, c2) = operators.share(halves)
     tpqrt, tpmqrt = get_lapack_funcs(("tpqrt", "tpmqrt"), (G,))
     # R over R2 is one 2N x N QR whose lower block is triangular (l = N); tpqrt
     # reads only the upper triangles and writes the merged R over R, and its

@@ -14,20 +14,21 @@ analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
 and one derivative pass each, straight into the output. A block of at
 least four tiles whose kernels have no pole is shared round-robin by
-k = min(CORES, tiles / 2, MAX_THREADS) threads: the caller and k - 1
-workers of `pool()`, the package's one thread pool of MAX_THREADS - 1
-workers, started on first use and again in a forked child (`CORES` is the
-size of the process's CPU affinity set; `lsq` factors a second row block
-of a large least-squares system there too), NumPy, SciPy and LAPACK
-releasing the interpreter lock in their loops. Each thread takes tiles of
-2 TILE / k elements, so the tiles in flight hold two serial tiles' memory
-on any machine. Every
+k = min(CORES, tiles / 2, MAX_THREADS) threads through `share`, which
+runs its first task on the caller and the others on the package's one
+thread pool of MAX_THREADS - 1 workers (`CORES` is the size of the
+process's CPU affinity set; `lsq` factors the second row block of a
+large least-squares system through `share` too). The pool is built at
+import, starts no thread before its first task, and is built afresh in
+a forked child; NumPy, SciPy and LAPACK release the interpreter lock in
+their loops. Each thread takes tiles of 2 TILE / k elements, so the
+tiles in flight hold two serial tiles' memory on any machine. Every
 entry is an elementwise function of its own pair, and the BLAS products
 of the row normals are taken once per block, so neither the tiling nor
 the thread count changes a bit. The other blocks are built by the caller
 alone, tile by tile in order: a singular kernel's pole must be refused in
-the first tile that holds it, and blocks of two or three tiles, whose
-sharing is not yet measured end to end, stay as they were. Coincident field/source pairs (r below 1e-8)
+the first tile that holds it, and blocks of two or three tiles ran
+slower end to end when shared. Coincident field/source pairs (r below 1e-8)
 are patched with the analytic limits, read from that same pass at r = 0
 (every smooth kernel's generator returns its r = 0 limits); for smooth
 radial kernels the gradient at the origin is the zero vector and the
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, groupby
 from typing import NamedTuple
 
@@ -72,25 +72,29 @@ CORES = len(os.sched_getaffinity(0))
 #: that a shared tile of 2 TILE / k elements keeps 16K or more (see TILE)
 MAX_THREADS = 4
 
-_POOL = None  # the MAX_THREADS - 1 workers, started on first use, not at import
-_POOL_LOCK = threading.Lock()
 
-
-def pool() -> ThreadPoolExecutor:
+def _build_pool():
+    # built at import, starting no thread before its first task; a forked child has none
+    # of its parent's threads, so it builds a pool of its own
     global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(MAX_THREADS - 1, "rbfbench-worker")
-        return _POOL
+    _POOL = ThreadPoolExecutor(MAX_THREADS - 1, "rbfbench-worker")
 
 
-def _forget_pool():
-    # a forked child has none of its parent's threads, so it starts its own pool
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+_build_pool()
+os.register_at_fork(after_in_child=_build_pool)
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+def share(tasks):
+    """Run tasks[0] on the calling thread and the other tasks on the package's
+    pool; the results in task order. Every task has finished before this
+    returns or raises, and the caller's own error comes before a worker's."""
+    futures = [_POOL.submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
 
 OPERATOR_KINDS = (
     "laplace_2d",
@@ -415,13 +419,7 @@ def _block(op, kernels, pole, row, col, outs):
         return _build(tile, range(0, len(X), step), step)
     step = max(1, 2 * TILE // (k * len(Y)))
     starts = range(0, len(X), step)
-    shares = [pool().submit(_build, tile, starts[w::k], step) for w in range(1, k)]
-    try:
-        _build(tile, starts[::k], step)
-    finally:
-        wait(shares)
-    for share in shares:
-        share.result()
+    share([partial(_build, tile, starts[w::k], step) for w in range(k)])
 
 
 def _build(tile, starts, step):

@@ -348,6 +348,31 @@ def test_two_block_solve_bits_do_not_depend_on_the_core_count(rng, monkeypatch):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_row_block_is_raised_after_the_other_block_is_done(rng, monkeypatch, failing):
+    # the caller waits on the worker's block also when its own block raises,
+    # then raises its own error, else the worker's, unchanged
+    G = rng.standard_normal(SPLIT)
+    b = rng.standard_normal(SPLIT[0])
+    caller = threading.get_ident()
+    done = []
+    real = lsq._qr_block
+
+    def qr_block(G, b, lwork):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise ValueError(f"row block failed on the {failing}")
+        out = real(G, b, lwork)
+        done.append(G.shape)
+        return out
+
+    monkeypatch.setattr(lsq, "_qr_block", qr_block)
+    with pytest.raises(ValueError) as err:
+        lsq.solve_least_squares(lsq.OverdeterminedSystem(G=G, b=b), "orthogonal")
+    assert str(err.value) == f"row block failed on the {failing}"
+    # the other half was factored before the raise
+    assert done == [(SPLIT[0] // 2, SPLIT[1])]
+
+
 @pytest.mark.parametrize(
     "shape",
     [(152, 76), (248, 124), (2 * lsq.SPLIT_COLUMNS - 1, lsq.SPLIT_COLUMNS), (300, 40)],

@@ -1,5 +1,8 @@
+import ast
 import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -465,6 +468,35 @@ def test_operators_builds_no_interleaved_difference_array():
     assert offenders == []
 
 
+def test_only_operators_share_hands_work_to_threads():
+    # one owner of the worker threads: operators builds the pool, and work
+    # reaches it through operators.share alone
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        defs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for call in (".submit(", "ThreadPoolExecutor("):
+                if call in line:
+                    scope = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]
+                    found.append((path.name, scope[-1] if scope else None, call))
+    assert sorted(found) == [
+        ("operators.py", "_build_pool", "ThreadPoolExecutor("),
+        ("operators.py", "share", ".submit("),
+    ]
+
+
+def test_importing_the_package_starts_no_thread():
+    # the pool is built at import, but its workers start with its first task
+    code = (
+        "import threading; n = threading.active_count(); import rbfbench; "
+        "assert threading.active_count() == n, threading.enumerate()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_collocation_matrix_rejects_unknown_groups():
     kern = build_kernel("mq", c=1.0)
     pts = np.zeros((1, 2))
@@ -665,7 +697,8 @@ def test_forked_child_builds_shared_tiles_with_its_own_workers(monkeypatch):
     monkeypatch.setattr(operators, "CORES", 2)
     X = np.random.default_rng(3).uniform(-1, 1, (600, 2))
     want = ll_star_matrix(laplace(), _MQ, X, X)  # 15 tiles, shared with the pool
-    assert operators._POOL is not None
+    # the child inherits a pool whose workers are running in the parent
+    assert any(t.name.startswith("rbfbench-worker") for t in threading.enumerate())
     child = multiprocessing.get_context("fork").Process(target=_ll_star_in_child, args=(X, want))
     child.start()
     child.join(timeout=20)
