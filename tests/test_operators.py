@@ -493,7 +493,9 @@ def test_importing_the_package_starts_no_thread():
         "assert threading.active_count() == n, threading.enumerate()"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
     assert run.returncode == 0, run.stderr
 
 
