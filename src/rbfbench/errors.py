@@ -45,6 +45,10 @@ class RankError(RbfError):
     """Normal equations are rank deficient."""
 
 
+class SymmetryError(RbfError):
+    """Matrix to be factored as symmetric is not symmetric to rounding."""
+
+
 class ConfigError(RbfError):
     """Benchmark configuration references unknown names or is malformed."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import factor
+from .linalg import factor, symmetry_defect
 from .operators import Expansion, OperatorSpec, Term, collocation_matrix
 from .bkm import BoundaryData, boundary_groups
 
@@ -48,8 +48,7 @@ class MkmSystem:
         return len(self.matrix)
 
     def symmetry_defect(self) -> float:
-        scale = np.max(np.abs(self.matrix))
-        return float(np.max(np.abs(self.matrix - self.matrix.T)) / scale)
+        return symmetry_defect(self.matrix)
 
 
 def _domain_system(
@@ -88,8 +87,8 @@ def assemble_mkm(
     return _domain_system(nodes, op, bc, f_samples, phi, hermite=True)
 
 
-def _solved(system: MkmSystem, what: str) -> SolutionField:
-    lu = factor(system.matrix, what)
+def _solved(system: MkmSystem, what: str, symmetric: bool) -> SolutionField:
+    lu = factor(system.matrix, what, symmetric=symmetric)
     coeffs = lu.solve(system.rhs)
     scale = np.max(np.abs(system.rhs)) or 1.0
     residual = float(np.max(np.abs(system.matrix @ coeffs - system.rhs)) / scale)
@@ -99,7 +98,7 @@ def _solved(system: MkmSystem, what: str) -> SolutionField:
 
 def solve_mkm(system: MkmSystem) -> SolutionField:
     """Solve the Hermite system; the field evaluates both trial families."""
-    return _solved(system, "Hermite collocation")
+    return _solved(system, "Hermite collocation", symmetric=True)
 
 
 def solve_kansa_baseline(
@@ -115,4 +114,5 @@ def solve_kansa_baseline(
     boundary nodes. Kept on identical nodes and kernel so comparisons
     against the modified scheme isolate the formulation.
     """
-    return _solved(_domain_system(nodes, op, bc, f_samples, phi, hermite=False), "collocation")
+    system = _domain_system(nodes, op, bc, f_samples, phi, hermite=False)
+    return _solved(system, "collocation", symmetric=False)

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from rbfbench.operators import convection_diffusion, helmholtz, laplace
 from rbfbench.problems import get_problem
 
 SQUARE = DomainSpec("rectangle", 1.0, 1.0)
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "default_suite.csv"
 
 
 def p2_setup(n_boundary=32, n_interior=81, seed=7):
@@ -181,3 +185,29 @@ def test_boundary_band_non_inferiority_vs_kansa():
     assert m_mkm.boundary_band_err <= m_kan.boundary_band_err
     # pilot ratio ~0.10: one order of magnitude gained next to the boundary
     assert m_mkm.boundary_band_err <= 0.5 * m_kan.boundary_band_err
+
+
+@pytest.mark.parametrize("problem", ["helmholtz_disk", "poisson_square"])
+def test_default_suite_mkm_cond_est_does_not_depend_on_allocation_history(problem):
+    # criterion 9 (a byte-identical default suite) through sycon: the
+    # estimate is the same after 200 different allocation histories, and
+    # it is the value the default suite prints
+    p = get_problem(problem)
+    nodes = partition_boundary(generate_nodes(p.domain, 32, 60, 7), p.bc_rule)
+    bc = bkm.BoundaryData.from_callables(nodes, p.exact, p.exact_grad)
+    fs = p.f_samples(nodes.all_points())
+    fs = np.zeros(len(nodes.all_points())) if fs is None else fs
+    system = mkm.assemble_mkm(nodes, p.operator, bc, fs, build_kernel("mq", c=0.8))
+    estimates, held = set(), []
+    for i in range(200):
+        held.append(np.empty(1 + 7 * i))
+        pad = np.ones(1 + (37 * i) % 509)
+        estimates.add(mkm.solve_mkm(system).cond_est)
+        del pad
+    rows = list(csv.DictReader(FIXTURE.read_text().splitlines()))
+    (printed,) = [
+        float(r["cond_est"])
+        for r in rows
+        if r["method"] == "mkm" and r["operator"] == p.operator.kind
+    ]
+    assert estimates == {printed}
