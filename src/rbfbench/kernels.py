@@ -150,9 +150,23 @@ def _mq(c: float) -> _Radial:
         s = np.sqrt(r * r + c2)
         yield s
         yield r / s
-        yield c2 / s**3
-        yield -3.0 * c2 * r / s**5
-        yield -3.0 * c2 * (s**2 - 5.0 * r * r) / s**7
+        sp = s**3
+        yield c2 / sp
+        # -3 c^2 r/s^5 and 3 c^2 (4 r^2 - c^2)/s^7, the powers of s taken from s^3; in place,
+        # since MKM reads these orders in every tile of its largest block, and each fresh
+        # temporary there costs a pass over new memory
+        sp *= s
+        sp *= s
+        d3 = r * (-3.0 * c2)
+        d3 /= sp
+        yield d3
+        sp *= s
+        sp *= s
+        d4 = r * r
+        d4 *= 12.0 * c2
+        d4 -= 3.0 * c2 * c2
+        d4 /= sp
+        yield d4
 
     return radial
 
@@ -164,9 +178,12 @@ def _imq(c: float) -> _Radial:
         s = np.sqrt(r * r + c2)
         yield 1.0 / s
         yield -r / s**3
-        yield (2.0 * r * r - c2) / s**5
-        yield 3.0 * r * (3.0 * c2 - 2.0 * r * r) / s**7
-        yield 9.0 / s**5 - 90.0 * r * r / s**7 + 105.0 * r**4 / s**9
+        s5 = s**5
+        yield (2.0 * r * r - c2) / s5
+        rr, s7 = r * r, s5 * s * s
+        yield (9.0 * c2 - 6.0 * rr) * r / s7
+        # 9/s^5 - 90 r^2/s^7 + 105 r^4/s^9 with s^2 = r^2 + c^2
+        yield ((24.0 * rr - 72.0 * c2) * rr + 9.0 * c2 * c2) / (s7 * s * s)
 
     return radial
 
@@ -179,8 +196,9 @@ def _gaussian(c: float) -> _Radial:
         yield e
         yield -2.0 * a * r * e
         yield (-2.0 * a + 4.0 * a * a * r * r) * e
-        yield (12.0 * a * a * r - 8.0 * a**3 * r**3) * e
-        yield (12.0 * a * a - 48.0 * a**3 * r * r + 16.0 * a**4 * r**4) * e
+        rr = r * r
+        yield (12.0 * a * a - 8.0 * a**3 * rr) * r * e
+        yield ((16.0 * a**4 * rr - 48.0 * a**3) * rr + 12.0 * a * a) * e
 
     return radial
 
@@ -241,24 +259,23 @@ def _laplace_fs_3d() -> _Radial:
 
 
 def _helmholtz_gs_2d(k: float) -> _Radial:
-    # J0(k r); derivatives via J0' = -J1 and J1'(x) = J0(x) - J1(x)/x.
+    # J0(k r); derivatives via J0' = -J1 and J1'(x) = J0(x) - J1(x)/x. Orders 3 and 4 from
+    # J_n' = (J_(n-1) - J_(n+1))/2 and the recurrence (DLMF 10.6.1): J0''' = J1 - x u and
+    # J0'''' = (3 - x^2) u with u = J2(x)/x^2 (1/8 at x = 0), J2 from the series of
+    # `_bessel_table` near 0, so that neither cancels there
     def radial(r):
-        j0 = special.j0(k * r)
+        x = k * r
+        j0 = special.j0(x)
         yield j0
-        j1 = special.j1(k * r)
+        j1 = special.j1(x)
         yield -k * j1
         nz = r > 0.0
-        q, j0, j1 = r[nz], j0[nz], j1[nz]
-        yield _piecewise(nz, -k * k * j0 + k * j1 / q, -0.5 * k * k)
-        yield _piecewise(nz, k**3 * j1 + k * k * j0 / q - 2.0 * k * j1 / (q * q), 0.0)
-        yield _piecewise(
-            nz,
-            k**4 * j0
-            - 2.0 * k**3 * j1 / q
-            - 3.0 * k * k * j0 / (q * q)
-            + 6.0 * k * j1 / q**3,
-            0.375 * k**4,
-        )
+        q = r[nz]
+        yield _piecewise(nz, -k * k * j0[nz] + k * j1[nz] / q, -0.5 * k * k)
+        j2, xq = _bessel_orders(x, [j0, j1], 2)[2], x[nz]
+        u = _piecewise(nz, j2[nz] / (xq * xq), 0.125)
+        yield k**3 * (j1 - x * u)
+        yield k**4 * (3.0 - x * x) * u
 
     return radial
 
@@ -374,7 +391,7 @@ def _finite_derivatives(family: str, value: float) -> bool:
     radii = (2.0,) if singular or value == 0 else (0.0, 2.0)
     try:
         with np.errstate(all="ignore"):
-            return all(math.isfinite(d) for r in radii for d in make(value)(np.float64(r)))
+            return all(np.isfinite(d).all() for d in make(value)(np.array(radii)))
     except (OverflowError, ZeroDivisionError):  # Gaussian's a = 1/c^2, a**4 and k**3
         return False
 
@@ -458,13 +475,11 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
         if top < 4:
             return
         s3, b3 = next(s), next(b)
-        yield b3 * s1**3 + 3.0 * b2 * s1 * s2 + b1 * s3
+        yield (b3 * s1 * s1 + 3.0 * b2 * s2) * s1 + b1 * s3
         s4, b4 = next(s), next(b)
         yield (
-            b4 * s1**4
-            + 6.0 * b3 * s1 * s1 * s2
-            + 3.0 * b2 * s2 * s2
-            + 4.0 * b2 * s1 * s3
+            (b4 * s1 * s1 + 6.0 * b3 * s2) * s1 * s1
+            + (3.0 * s2 * s2 + 4.0 * s1 * s3) * b2
             + b1 * s4
         )
 
@@ -550,7 +565,11 @@ def _bessel_table(x: np.ndarray, m: int) -> list[np.ndarray]:
     it, where the recurrence is stable for n <= MAX_CHAIN_ORDER. When no
     argument takes the recurrence, it is not run.
     """
-    table = [special.j0(x), special.j1(x)]
+    return _bessel_orders(x, [special.j0(x), special.j1(x)], m)
+
+
+def _bessel_orders(x: np.ndarray, table: list, m: int) -> list[np.ndarray]:
+    """`_bessel_table(x, m)` from its first two orders, `table` = [J_0(x), J_1(x)]."""
     if m < 2:
         return table[: m + 1]
     small = x < _SERIES_CUTOVER

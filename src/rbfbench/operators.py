@@ -273,11 +273,17 @@ def _normal_normal(op, g, f, nx, ny):
 
 
 def _op_value(op, g, f, nx, ny):
-    # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r
+    # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r; a factor
+    # D = 1 and a term gamma*phi with gamma = 0 are skipped, which changes no bit
     rs, z = g.rs, g.z
     phi, d1, d2 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    out = D * (d2 + d1 / rs) + gamma * phi
+    out = d1 / rs
+    out += d2
+    if D != 1.0:
+        out *= D
+    if gamma:
+        out += gamma * phi
     if np.any(v):
         out -= d1 * g.dot(v) / rs
     if z.any():
@@ -290,55 +296,86 @@ def _value_adjoint(op, g, f, nx, ny):
     return _op_value(adjoint_of(op), g, f, nx, ny)
 
 
-def _lap_derivative(f, rs: np.ndarray) -> np.ndarray:
-    # radial derivative of Lap(phi): phi''' + phi''/r - phi'/r^2
-    return f[3] + f[2] / rs - f[1] / rs**2
+def _normal_image(op, g, f, p, vn, sign):
+    # a normal derivative of an operator image, p = d.n for the normal n and vn = v.n:
+    # sign (D Lap(phi)' + gamma phi') p/r + (phi'' - phi'/r) p (v.d)/r^2 + phi' vn/r, where
+    # Lap(phi)' = phi''' + (phi'' - phi'/r)/r; coincident limit phi''(0) vn. Built in place;
+    # a factor D = 1 and a term gamma = 0 are skipped
+    rs, z = g.rs, g.z
+    _, d1, d2, d3 = f
+    D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
+    out = d1 / rs
+    np.subtract(d2, out, out=out)  # phi'' - phi'/r
+    transport = None
+    if np.any(v):
+        transport = g.dot(v)
+        transport *= out
+        transport /= rs
+    out /= rs
+    out += d3
+    if D != 1.0:
+        out *= D
+    if gamma:
+        out += gamma * d1
+    if sign < 0:
+        np.negative(out, out=out)
+    if transport is not None:
+        out += transport
+    out *= p
+    vn = np.broadcast_to(vn, out.shape)
+    if transport is not None:
+        out += d1 * vn
+    out /= rs
+    if z.any():
+        out[z] = d2[z] * vn[z]
+    return out
 
 
 def _op_normal(op, g, f, nx, ny):
     # L (field) applied to the source-normal column
-    rs, z = g.rs, g.z
-    d1, d2 = f[1], f[2]
-    D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    py = g.dot(ny)
-    out = -(D * _lap_derivative(f, rs) + gamma * d1) * py / rs
-    vn = np.broadcast_to(ny @ v, out.shape)
-    if np.any(v):
-        vd = g.dot(v)
-        out += d2 * py * vd / rs**2 + d1 * (vn / rs - py * vd / rs**3)
-    if z.any():
-        out[z] = d2[z] * vn[z]
-    return out
+    return _normal_image(op, g, f, g.dot(ny), ny @ op.velocity_vec, -1)
 
 
 def _normal_adjoint(op, g, f, nx, ny):
     # field-normal derivative of the L* image
-    rs, z = g.rs, g.z
-    d1, d2 = f[1], f[2]
-    D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
-    px = g.dot(nx[:, None])
-    out = (D * _lap_derivative(f, rs) + gamma * d1) * px / rs
-    vn = np.broadcast_to(g.nn, out.shape)
-    if np.any(v):
-        vd = g.dot(v)
-        out += d2 * vd * px / rs**2 + d1 * (vn / rs - vd * px / rs**3)
-    if z.any():
-        out[z] = d2[z] * vn[z]
-    return out
+    return _normal_image(op, g, f, g.dot(nx[:, None]), g.nn, 1)
 
 
 def _op_adjoint(op, g, f, nx, ny):
-    # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2
+    # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2 with, by Horner's rule in 1/r,
+    # Lap^2 phi = phi'''' + 2 phi'''/r - phi''/r^2 + phi'/r^3 = ((phi'/r - phi'')/r + 2 phi''')/r
+    # + phi''''. Built in place; a factor D = 1 and the terms of gamma = 0 are skipped
     rs, z = g.rs, g.z
     phi, d1, d2, d3, d4 = f
     D, gamma, v = op.diff_coeff, op.reaction, op.velocity_vec
     vv = float(v @ v)
-    bilap = d4 + 2.0 * d3 / rs - d2 / rs**2 + d1 / rs**3
-    lap = d2 + d1 / rs
-    out = D * D * bilap + 2.0 * gamma * D * lap + gamma * gamma * phi
+    out = d1 / rs
+    out -= d2  # phi'/r - phi''
+    transport = None
     if np.any(v):
-        vd = g.dot(v)
-        out -= d2 * vd**2 / rs**2 + d1 * (vv / rs - vd**2 / rs**3)
+        # -(v.grad)^2 phi = ((phi'/r - phi'') (v.d)^2/r - phi' |v|^2)/r
+        transport = g.dot(v)
+        transport *= transport
+        transport *= out
+        transport /= rs
+        transport -= d1 * vv
+        transport /= rs
+    out /= rs
+    out += d3
+    out += d3
+    out /= rs
+    out += d4
+    if D != 1.0:
+        out *= D * D
+    if gamma:
+        lap = d1 / rs
+        lap += d2
+        lap *= 2.0 * D
+        lap += gamma * phi
+        lap *= gamma
+        out += lap
+    if transport is not None:
+        out += transport
     if z.any():
         out[z] = (
             D * D * (8.0 / 3.0) * d4[z]

@@ -24,7 +24,7 @@ from rbfbench.kernels import (
     probe_singular_at_origin,
     shape_substitute,
 )
-from rbfbench.operators import helmholtz, laplace
+from rbfbench.operators import helmholtz, laplace, ll_star_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
@@ -71,17 +71,74 @@ def test_derivatives_match_finite_differences(family):
         assert kern.d2(r) == pytest.approx(fd2, rel=1e-5, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "kern",
-    [pytest.param(_kernel(f), id=f) for f in ("mq", "imq", "gaussian", "helmholtz_gs_2d")]
-    + [pytest.param(shape_substitute(build_kernel("gaussian"), 0.5), id="gaussian+shift")],
-)
+#: the families whose generators yield orders 3 and 4
+FOURTH_ORDER_FAMILIES = ("mq", "imq", "gaussian", "helmholtz_gs_2d")
+
+#: every kernel of top order 4: those families and their shape substitutes
+FOURTH_ORDER_KERNELS = [pytest.param(_kernel(f), id=f) for f in FOURTH_ORDER_FAMILIES] + [
+    pytest.param(shape_substitute(_kernel(f), 0.5), id=f"{f}+shift")
+    for f in FOURTH_ORDER_FAMILIES
+]
+
+
+@pytest.mark.parametrize("kern", FOURTH_ORDER_KERNELS)
 def test_higher_derivatives_match_finite_differences(kern):
     assert kern.top_order >= 4
     _, _, d2, d3, d4 = kern.derivs
     for r in (0.1, 0.5, 1.0, 2.0):
         assert d3(r) == pytest.approx(central_d1(d2, r, h=1e-6), rel=1e-5, abs=1e-9)
         assert d4(r) == pytest.approx(central_d1(d3, r, h=1e-6), rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("kern", FOURTH_ORDER_KERNELS)
+def test_reading_orders_3_and_4_leaves_orders_0_to_2_alone(kern):
+    # orders 3 and 4 reuse the arrays of the orders before them; a yielded
+    # array must never be written into afterwards
+    r = np.concatenate([[0.0], np.logspace(-8, 0, 17), np.linspace(0.0, 4.0, 41)[1:]])
+    assert kern.top_order == 4
+    upto4, upto2 = kern.derivs_upto(r, 4), kern.derivs_upto(r, 2)
+    assert [a.tobytes() for a in upto4[:3]] == [a.tobytes() for a in upto2]
+
+
+#: the largest error, relative to the largest reference value of its row,
+#: that the previous (power-based) arithmetic made on the mpmath fixture:
+#: phi of J0(2 r) at r = 1e-3, where phi summed terms of order
+#: 1/r^2 that cancel
+FOURTH_ORDER_REFERENCE_BOUND = 8.4e-10
+
+
+def _fourth_order_reference() -> dict:
+    with open(FIXTURES / "fourth_order_reference.json") as fh:
+        return json.load(fh)
+
+
+def _reference_error(got, want) -> float:
+    want = np.asarray(want)
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+def test_fourth_order_derivatives_match_reference_fixture():
+    reference = _fourth_order_reference()
+    r = np.array(reference["radii"])
+    assert set(reference["derivatives"]) == set(FOURTH_ORDER_FAMILIES)
+    for family, want in reference["derivatives"].items():
+        got = build_kernel(family, **want["params"]).derivs_upto(r, 4)
+        for n in (3, 4):
+            err = _reference_error(got[n], want[f"d{n}"])
+            assert err <= FOURTH_ORDER_REFERENCE_BOUND, f"{family} order {n}: {err:.2e}"
+
+
+def test_ll_star_matches_reference_fixture():
+    # L L* phi of MQ against mpmath's Cartesian (Lap + gamma)^2, the r = 0
+    # point through the coincident limit
+    fixture = _fourth_order_reference()
+    r, reference = np.array(fixture["radii"]), fixture["ll_star_mq"]
+    X = np.column_stack([r, np.zeros_like(r)])
+    mq = build_kernel("mq", c=reference["c"])
+    for name, op in (("laplace", laplace()), ("helmholtz_k2", helmholtz(2.0))):
+        got = ll_star_matrix(op, mq, X, np.zeros((1, 2)))[:, 0]
+        err = _reference_error(got, reference[name])
+        assert err <= FOURTH_ORDER_REFERENCE_BOUND, f"{name}: {err:.2e}"
 
 
 def test_derivatives_read_only_through_derivs_upto():
