@@ -100,10 +100,10 @@ def test_reading_orders_3_and_4_leaves_orders_0_to_2_alone(kern):
     assert [a.tobytes() for a in upto4[:3]] == [a.tobytes() for a in upto2]
 
 
-#: the largest error, relative to the largest reference value of its row,
-#: that the previous (power-based) arithmetic made on the mpmath fixture:
-#: phi of J0(2 r) at r = 1e-3, where phi summed terms of order
-#: 1/r^2 that cancel
+#: an error bound relative to the largest reference value of each row: the
+#: 8.405e-10 that power sums in 1/r make on this fixture, rounded down (J0's
+#: phi'''' = k^4 J0 - 2 k^3 J1/r - 3 k^2 J0/r^2 + 6 k J1/r^3 at k = 2 and
+#: r = 1e-3, whose terms of order 1/r^2 cancel)
 FOURTH_ORDER_REFERENCE_BOUND = 8.4e-10
 
 
