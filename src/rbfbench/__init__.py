@@ -27,7 +27,7 @@ from .kernels import (
     shape_substitute,
 )
 from .lsq import OverdeterminedSystem, assemble_overdetermined, solve_least_squares
-from .mkm import MkmSystem, SolutionField, assemble_mkm, solve_kansa_baseline, solve_mkm
+from .mkm import MkmSystem, assemble_mkm, solve_kansa_baseline, solve_mkm
 from .operators import (
     Expansion,
     OperatorSpec,

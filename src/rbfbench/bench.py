@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -343,13 +343,9 @@ def _single_run(
     if isinstance(solution, bkm.RecoveredTraces):
         # complementary boundary traces against the exact ones, no band
         got = np.concatenate([solution.neumann_at_dirichlet, solution.dirichlet_at_neumann])
-        exact_nu = np.einsum(
-            "ij,ij->i",
-            np.asarray(problem.exact_grad(nodes.dirichlet_points), dtype=float),
-            nodes.dirichlet_normals,
-        )
-        exact_dg = np.asarray(problem.exact(nodes.neumann_points), dtype=float)
-        want = np.concatenate([exact_nu, exact_dg])
+        swapped = replace(nodes, dirichlet_idx=nodes.neumann_idx, neumann_idx=nodes.dirichlet_idx)
+        exact = bkm.BoundaryData.from_callables(swapped, problem.exact, problem.exact_grad)
+        want = np.concatenate([exact.neumann_values, exact.dirichlet_values])
         metrics = compute_errors(lambda _: got, lambda _: want, nodes.boundary)
     else:
         probes = probe_grid(problem.domain)

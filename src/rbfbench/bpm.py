@@ -32,25 +32,22 @@ from .kernels import RadialKernel
 from .linalg import Factor, factor
 from .operators import Expansion, OperatorSpec, Term, collocation_matrices
 
-#: step for the fallback central-difference gradient of source-term chains
-_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class MrmProblem:
     """Inhomogeneous problem with an analytic operator-power chain.
 
     `f_chain[j]` evaluates the j-fold operator image of the source term
-    (entry 0 is the source term itself); `f_grad_chain` optionally
-    supplies the matching gradients for Neumann rows, otherwise central
-    differences are used. The chain must reach the truncation order.
+    (entry 0 is the source term itself) and `f_grad_chain[j]` its
+    gradient, read on Neumann rows. Both chains must reach the truncation
+    order.
     """
 
     operator: OperatorSpec
     bc: BoundaryData
     f_chain: tuple
     order: int
-    f_grad_chain: Optional[tuple] = None
+    f_grad_chain: tuple
 
     def __post_init__(self):
         if self.order < 1:
@@ -60,19 +57,8 @@ class MrmProblem:
                 f"source-term chain has {len(self.f_chain)} entries; "
                 f"order {self.order} needs at least {self.order}"
             )
-        if self.f_grad_chain is not None and len(self.f_grad_chain) < self.order:
-            raise ConfigError("gradient chain shorter than the truncation order")
-
-    def chain_normal_derivative(self, j: int, points, normals) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        nrm = np.atleast_2d(normals)
-        if self.f_grad_chain is not None:
-            g = np.asarray(self.f_grad_chain[j](pts), dtype=float)
-            return np.einsum("ij,ij->i", g, nrm)
-        f = self.f_chain[j]
-        plus = np.asarray(f(pts + _FD_STEP * nrm), dtype=float)
-        minus = np.asarray(f(pts - _FD_STEP * nrm), dtype=float)
-        return (plus - minus) / (2.0 * _FD_STEP)
+        if self.f_grad_chain is None or len(self.f_grad_chain) < self.order:
+            raise ConfigError("gradient chain missing or shorter than the truncation order")
 
 
 def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp_0: RadialKernel) -> Factor:
@@ -126,12 +112,11 @@ def solve_bpm(
             )
     # the data of every order: the boundary values at order 0, the
     # (n-1)-fold source image at order n; `top` is the last nonzero one
-    xd, xn = nodes.dirichlet_points, nodes.neumann_points
-    nn = nodes.neumann_normals
-    data = [np.concatenate([problem.bc.dirichlet_values, problem.bc.neumann_values])]
-    for j in range(M):
-        image = np.asarray(problem.f_chain[j](xd), dtype=float)
-        data.append(np.concatenate([image, problem.chain_normal_derivative(j, xn, nn)]))
+    samples = [problem.bc] + [
+        BoundaryData.from_callables(nodes, problem.f_chain[j], problem.f_grad_chain[j])
+        for j in range(M)
+    ]
+    data = [np.concatenate([s.dirichlet_values, s.neumann_values]) for s in samples]
     top = max((n for n, d in enumerate(data) if np.any(d)), default=0)
     if q is None:
         q = assemble_Q(nodes, problem.operator, kernel_chain[0])

@@ -389,10 +389,12 @@ def check_parameter(family: str, name: str, value) -> float:
 def _finite_derivatives(family: str, value: float) -> bool:
     make, singular, _ = _FAMILIES[family]
     radii = (2.0,) if singular or value == 0 else (0.0, 2.0)
+    # an overflow on the way can end in a finite but wrong value (MQ at
+    # c = 1e50 reads -0.0 for its fourth derivative at r = 0), so the probe refuses it too
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             return all(np.isfinite(d).all() for d in make(value)(np.array(radii)))
-    except (OverflowError, ZeroDivisionError):  # Gaussian's a = 1/c^2, a**4 and k**3
+    except (OverflowError, ZeroDivisionError, FloatingPointError):  # Gaussian's a**4, k**3
         return False
 
 

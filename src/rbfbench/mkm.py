@@ -30,13 +30,6 @@ from .bkm import BoundaryData, boundary_groups
 
 
 @dataclass
-class SolutionField(Expansion):
-    """Solved expansion with the max-norm residual of its system, relative to the data."""
-
-    residual_inf: float
-
-
-@dataclass
 class MkmSystem:
     """Square collocation system of the modified Kansa scheme, unknowns
     [alpha (N+L) | beta (L)]; the Kansa baseline builds one too."""
@@ -91,16 +84,13 @@ def assemble_mkm(
     return _domain_system(nodes, op, bc, f_samples, phi, hermite=True)
 
 
-def _solved(system: MkmSystem, what: str, symmetric: bool) -> SolutionField:
+def _solved(system: MkmSystem, what: str, symmetric: bool) -> Expansion:
     lu = factor(system.matrix, what, symmetric=symmetric)
-    coeffs = lu.solve(system.rhs)
-    scale = np.max(np.abs(system.rhs)) or 1.0
-    residual = float(np.max(np.abs(system.matrix @ coeffs - system.rhs)) / scale)
-    term = Term(system.op, system.kernel, system.columns, coeffs)
-    return SolutionField([term], lu.cond_est, residual)
+    term = Term(system.op, system.kernel, system.columns, lu.solve(system.rhs))
+    return Expansion([term], lu.cond_est)
 
 
-def solve_mkm(system: MkmSystem) -> SolutionField:
+def solve_mkm(system: MkmSystem) -> Expansion:
     """Solve the Hermite system; the field evaluates both trial families."""
     return _solved(system, "Hermite collocation", symmetric=True)
 
@@ -111,7 +101,7 @@ def solve_kansa_baseline(
     bc: BoundaryData,
     f_samples,
     phi: RadialKernel,
-) -> SolutionField:
+) -> Expansion:
     """Plain unsymmetric collocation: one kernel column per node.
 
     Governing rows at interior nodes only, boundary-condition rows at

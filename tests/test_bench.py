@@ -243,6 +243,7 @@ def test_non_finite_lsq_system_is_a_row_error(monkeypatch):
     [
         pytest.param({"family": "mq", "c": 1e300}, id="mq-c=1e300"),
         pytest.param({"family": "mq", "c": 1e150}, id="mq-c=1e150"),
+        pytest.param({"family": "mq", "c": 1e50}, id="mq-c=1e50"),
         pytest.param({"family": "imq", "c": 1e-60}, id="imq-c=1e-60"),
         pytest.param({"family": "gaussian", "c": 5e-39}, id="gaussian-c=5e-39"),
         pytest.param({"family": "gaussian", "c": 1e-40}, id="gaussian-c=1e-40"),

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -21,6 +24,7 @@ from rbfbench.problems import get_problem
 DISK = DomainSpec("unit_disk")
 OP = helmholtz(2.0)
 U_SHARP = build_kernel("helmholtz_gs_2d", k=2.0)
+SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
 
 
 def mixed_nodes(n_boundary=16, n_interior=0, seed=7):
@@ -288,3 +292,20 @@ def test_bc_count_mismatch_rejected():
         bkm.solve_indirect(
             nodes, OP, bkm.BoundaryData(np.zeros(3), np.zeros(8)), None, None, U_SHARP
         )
+
+
+def test_boundary_trace_pairs_have_one_sampler():
+    # values on the Dirichlet part and gradient . normal on the Neumann part
+    # are sampled in BoundaryData.from_callables only; BPM's source chain and
+    # the bkm_direct score read it, and BPM keeps no finite-difference step
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    sites = []
+    for path in files:
+        text = path.read_text()
+        for match in re.finditer(r'einsum\(\s*"ij,ij->i"', text):
+            defs = re.findall(r"^\s*def (\w+)", text[: match.start()], re.M)
+            lineno = text.count("\n", 0, match.start()) + 1
+            sites.append((path.name, defs[-1] if defs else None, lineno))
+    assert [site[:2] for site in sites] == [("bkm.py", "from_callables")], sites
+    assert "_FD_" not in (SRC / "bpm.py").read_text()

@@ -185,33 +185,55 @@ def test_tail_magnitude_decreases_for_decaying_chain():
     assert errs[2] <= 2e-3
 
 
-def test_gradient_chain_fallback_matches_analytic():
-    p, nodes, bc = benchmark_setup()
-    with_grad = bpm.MrmProblem(
-        operator=p.operator, bc=bc, f_chain=p.f_chain, order=2, f_grad_chain=p.f_grad_chain
+def test_neumann_rows_read_the_source_chains_gradient():
+    # u = e^(x/2) under helmholtz(2): f = 4.25 e^(x/2) and grad f = (f/2, 0),
+    # so the order-1 traces must reproduce [f(x_D), grad f . n(x_N)]
+    op = helmholtz(2.0)
+    nodes = partition_boundary(generate_nodes(DISK, 12, 0, seed=7), ((0.0, 0.5),))
+    exact = lambda q: np.exp(0.5 * q[:, 0])
+    grad = lambda q: np.column_stack([0.5 * exact(q), np.zeros(len(q))])
+    bc = bkm.BoundaryData.from_callables(nodes, exact, grad)
+    f = lambda q: 4.25 * exact(q)
+    f_grad = lambda q: 4.25 * grad(q)
+    zero_grad = lambda q: np.zeros_like(q)
+    want = np.concatenate(
+        [f(nodes.dirichlet_points), np.sum(f_grad(nodes.neumann_points) * nodes.neumann_normals, 1)]
     )
-    without = bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=2)
-    pts = nodes.boundary[:4]
-    nrm = nodes.normals[:4]
-    assert np.allclose(
-        with_grad.chain_normal_derivative(0, pts, nrm),
-        without.chain_normal_derivative(0, pts, nrm),
-        atol=1e-8,
-    )
+    chain = chain_for(op, 1)
+    q = bpm.assemble_Q(nodes, op, chain[0])
+
+    def order_one_defect(gch):
+        sol = bpm.solve_bpm(nodes, bpm.MrmProblem(op, bc, (f,), 1, gch), chain, q)
+        return np.max(np.abs(q.matrix @ sol.beta_by_order[1] - want)) / np.max(np.abs(want))
+
+    assert order_one_defect((f_grad,)) <= 1e-10  # measured 1.3e-13
+    assert order_one_defect((zero_grad,)) > 1e-10
 
 
 def test_insufficient_chain_rejected():
     p, nodes, bc = benchmark_setup()
+    given = dict(operator=p.operator, bc=bc, order=3, f_grad_chain=p.f_grad_chain)
     with pytest.raises(ConfigError):
-        bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain[:2], order=3)
-    prob = bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=3)
+        bpm.MrmProblem(f_chain=p.f_chain[:2], **given)
+    prob = bpm.MrmProblem(f_chain=p.f_chain, **given)
     with pytest.raises(ConfigError):
         bpm.solve_bpm(nodes, prob, chain_for(p.operator, 2))
 
 
+@pytest.mark.parametrize("entries", [None, 2], ids=["missing", "short"])
+def test_missing_or_short_gradient_chain_rejected(entries):
+    # refused when the problem is built, not as a TypeError inside the solve
+    p, _, bc = benchmark_setup()
+    grads = None if entries is None else p.f_grad_chain[:entries]
+    with pytest.raises(ConfigError, match="gradient chain"):
+        bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=3, f_grad_chain=grads)
+
+
 def test_chain_entries_must_match_their_order_and_wavenumber():
     p, nodes, bc = benchmark_setup()
-    prob = bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=p.f_chain, order=3)
+    prob = bpm.MrmProblem(
+        operator=p.operator, bc=bc, f_chain=p.f_chain, order=3, f_grad_chain=p.f_grad_chain
+    )
     swapped = chain_for(p.operator, 3)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(ConfigError, match="entry 1"):
