@@ -28,12 +28,11 @@ from .geometry import (
     partition_boundary,
 )
 from .kernels import (
-    CATALOG,
     FAMILY_PARAMETERS,
     MAX_CHAIN_ORDER,
     RadialKernel,
     build_kernel,
-    check_parameter,
+    check_parameters,
     default_shape_parameter,
     higher_order_solution,
 )
@@ -205,23 +204,14 @@ def _names(kind: str, value, known) -> list:
 
 
 def _kernel_spec(spec) -> tuple:
-    """(family, parameters) of a config kernel entry: the family known, the
-    parameters named for that family, real and in range."""
+    """(family, parameters) of a config kernel entry, checked by
+    `kernels.check_parameters`; its ParameterError becomes a ConfigError."""
     params = dict(spec) if isinstance(spec, dict) else {"family": spec}
     family = params.pop("family", None)
-    if family not in CATALOG:
-        raise ConfigError(f"unknown kernel {family!r}; known: {', '.join(CATALOG)}")
-    allowed = FAMILY_PARAMETERS[family]
-    for name, value in params.items():
-        if name not in allowed:
-            raise ConfigError(
-                f"kernel {family!r} takes no parameter {name!r}; "
-                f"allowed: {', '.join(allowed) or 'none'}"
-            )
-        try:
-            check_parameter(family, name, value)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
+    try:
+        check_parameters(family, params)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
     return family, params
 
 
@@ -268,7 +258,6 @@ def _solve(
     phi = _resolve_kernel(spec, nodes)
     src = nodes.all_points()
     fs = problem.f_samples(src)
-    fs = np.zeros(len(src)) if fs is None else fs
     if method == "bkm":
         return phi, bkm.solve_indirect(nodes, op, bc, fs, phi, higher_order_solution(op, 0))
     if method == "bkm_direct":
@@ -288,8 +277,7 @@ def _solve(
         system = lsq.OverdeterminedSystem(G=G, b=targets)
     else:
         field_bc = bkm.BoundaryData.from_callables(field_nodes, problem.exact, problem.exact_grad)
-        fcall = problem.f if problem.f is not None else lambda p: np.zeros(len(p))
-        system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, fcall, phi)
+        system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, problem.f, phi)
     result = lsq.solve_least_squares(system, method="orthogonal")
     return phi, Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
 

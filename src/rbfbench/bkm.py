@@ -47,11 +47,15 @@ class BoundaryData:
             n = np.empty(0)
         return BoundaryData(r, n)
 
-    def check_counts(self, nodes: NodeSet):
+    def stacked(self, nodes: NodeSet) -> np.ndarray:
+        """A new [Dirichlet values | Neumann normal derivatives] vector, the
+        `boundary_groups` order; a ValueError when a count does not match
+        the partition of `nodes`."""
         if len(self.dirichlet_values) != len(nodes.dirichlet_idx):
             raise ValueError("Dirichlet value count does not match partition")
         if len(self.neumann_values) != len(nodes.neumann_idx):
             raise ValueError("Neumann value count does not match partition")
+        return np.concatenate([self.dirichlet_values, self.neumann_values])
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def solve_indirect(
     A homogeneous problem (no source samples, or all zero) skips the fit
     and needs no interior nodes.
     """
-    bc.check_counts(nodes)
+    rhs = bc.stacked(nodes)
     particular = None
     if f_samples is not None and np.any(np.asarray(f_samples, dtype=float)):
         if phi is None:
@@ -133,7 +137,6 @@ def solve_indirect(
         particular = fit_particular(nodes, f_samples, op, phi)
     A = assemble_symmetric_system(nodes, op, u_sharp)
     groups = boundary_groups(nodes)
-    rhs = np.concatenate([bc.dirichlet_values, bc.neumann_values])
     if particular is not None:
         rhs -= particular.traces(groups)
     # ill-conditioning is reported, not refused: boundary-knot matrices

@@ -98,8 +98,15 @@ def solve_bpm(
     to that row block. Order 0 carries the physical boundary data. Orders
     above the last one with nonzero data get zero coefficients unsolved.
     """
-    problem.bc.check_counts(nodes)
     M = problem.order
+    # the data of every order: the boundary values at order 0, the
+    # (n-1)-fold source image at order n; `top` is the last nonzero one
+    samples = [problem.bc] + [
+        BoundaryData.from_callables(nodes, problem.f_chain[j], problem.f_grad_chain[j])
+        for j in range(M)
+    ]
+    data = [s.stacked(nodes) for s in samples]
+    top = max((n for n, d in enumerate(data) if np.any(d)), default=0)
     if len(kernel_chain) < M + 1:
         raise ConfigError(
             f"kernel chain has {len(kernel_chain)} entries; order {M} needs {M + 1}"
@@ -110,14 +117,6 @@ def solve_bpm(
                 f"kernel chain entry {m} is {kern.name} at k = {kern.k:g}; "
                 f"it must have order {m} and entry 0's k = {kernel_chain[0].k:g}"
             )
-    # the data of every order: the boundary values at order 0, the
-    # (n-1)-fold source image at order n; `top` is the last nonzero one
-    samples = [problem.bc] + [
-        BoundaryData.from_callables(nodes, problem.f_chain[j], problem.f_grad_chain[j])
-        for j in range(M)
-    ]
-    data = [np.concatenate([s.dirichlet_values, s.neumann_values]) for s in samples]
-    top = max((n for n, d in enumerate(data) if np.any(d)), default=0)
     if q is None:
         q = assemble_Q(nodes, problem.operator, kernel_chain[0])
 

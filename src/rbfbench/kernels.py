@@ -30,7 +30,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
@@ -325,38 +325,45 @@ def _mod_helmholtz_gs_2d(k: float) -> _Radial:
     return radial
 
 
-#: family -> (derivative generator factory, singular at the origin, top order)
+#: family -> (derivative generator factory, singular at the origin, top order,
+#: named parameters: the factory's keywords, each with its range, a finite
+#: number ">= 0" or "> 0")
 _FAMILIES = {
-    "mq": (_mq, False, 4),
-    "imq": (_imq, False, 4),
-    "gaussian": (_gaussian, False, 4),
-    "tps": (_tps, False, 2),
-    "exp_decay": (_exp_decay, False, 2),
-    "laplace_fs_1d": (_laplace_fs_1d, False, 2),
-    "laplace_fs_2d": (_laplace_fs_2d, True, 2),
-    "laplace_fs_3d": (_laplace_fs_3d, True, 2),
-    "helmholtz_gs_2d": (_helmholtz_gs_2d, False, 4),
-    "helmholtz_gs_3d": (_helmholtz_gs_3d, False, 2),
-    "helmholtz_fs_2d": (_helmholtz_fs_2d, True, 2),
-    "mod_helmholtz_gs_2d": (_mod_helmholtz_gs_2d, False, 2),
+    "mq": (_mq, False, 4, {"c": ">= 0"}),
+    "imq": (_imq, False, 4, {"c": "> 0"}),
+    "gaussian": (_gaussian, False, 4, {"c": "> 0"}),
+    "tps": (_tps, False, 2, {}),
+    "exp_decay": (_exp_decay, False, 2, {"omega": "> 0"}),
+    "laplace_fs_1d": (_laplace_fs_1d, False, 2, {}),
+    "laplace_fs_2d": (_laplace_fs_2d, True, 2, {}),
+    "laplace_fs_3d": (_laplace_fs_3d, True, 2, {}),
+    "helmholtz_gs_2d": (_helmholtz_gs_2d, False, 4, {"k": "> 0"}),
+    "helmholtz_gs_3d": (_helmholtz_gs_3d, False, 2, {"k": "> 0"}),
+    "helmholtz_fs_2d": (_helmholtz_fs_2d, True, 2, {"k": "> 0"}),
+    "mod_helmholtz_gs_2d": (_mod_helmholtz_gs_2d, False, 2, {"k": "> 0"}),
 }
 
 #: kernel families constructible by name
 CATALOG = tuple(_FAMILIES)
 
-#: named parameters (build_kernel keywords) each family takes, each with
-#: its range: a finite number ">= 0" or "> 0"
-FAMILY_PARAMETERS = {
-    **{family: {} for family in CATALOG},
-    "mq": {"c": ">= 0"},
-    "imq": {"c": "> 0"},
-    "gaussian": {"c": "> 0"},
-    "exp_decay": {"omega": "> 0"},
-    "helmholtz_gs_2d": {"k": "> 0"},
-    "helmholtz_gs_3d": {"k": "> 0"},
-    "helmholtz_fs_2d": {"k": "> 0"},
-    "mod_helmholtz_gs_2d": {"k": "> 0"},
-}
+#: named parameters (build_kernel keywords) each family takes, with their ranges
+FAMILY_PARAMETERS = {family: entry[3] for family, entry in _FAMILIES.items()}
+
+
+def check_parameters(family, params: dict) -> dict:
+    """`params` as floats, for a catalog `family` that takes each of them,
+    each in its range (`check_parameter`); a ParameterError otherwise.
+    Parameters the family takes but `params` lacks are not checked."""
+    if family not in CATALOG:  # a tuple: an unhashable family is unknown, not a TypeError
+        raise ParameterError(f"unknown kernel family {family!r}; known: {', '.join(CATALOG)}")
+    allowed = FAMILY_PARAMETERS[family]
+    for name in params:
+        if name not in allowed:
+            raise ParameterError(
+                f"kernel {family!r} takes no parameter {name!r}; "
+                f"allowed: {', '.join(allowed) or 'none'}"
+            )
+    return {name: check_parameter(family, name, value) for name, value in params.items()}
 
 
 def check_parameter(family: str, name: str, value) -> float:
@@ -387,7 +394,7 @@ def check_parameter(family: str, name: str, value) -> float:
 
 @lru_cache(maxsize=256)  # a pure probe; harness rows repeat their parameters
 def _finite_derivatives(family: str, value: float) -> bool:
-    make, singular, _ = _FAMILIES[family]
+    make, singular, _, _ = _FAMILIES[family]
     radii = (2.0,) if singular or value == 0 else (0.0, 2.0)
     # an overflow on the way can end in a finite but wrong value (MQ at
     # c = 1e50 reads -0.0 for its fourth derivative at r = 0), so the probe refuses it too
@@ -398,26 +405,19 @@ def _finite_derivatives(family: str, value: float) -> bool:
         return False
 
 
-def build_kernel(
-    family: str,
-    c: Optional[float] = None,
-    k: Optional[float] = None,
-    omega: Optional[float] = None,
-) -> RadialKernel:
+def build_kernel(family: str, **params) -> RadialKernel:
     """Construct a catalog kernel by family name.
 
-    Shape parameter c defaults to 1 for MQ/inverse-MQ/Gaussian when not
-    given; wavenumber k and decay rate omega are required for the
-    families that use them. Each parameter must lie in its range
-    (`FAMILY_PARAMETERS`); parameters a family does not take are ignored.
+    `params` are exactly the parameters the family takes
+    (`FAMILY_PARAMETERS`), checked as a config's kernel entry is
+    (`check_parameters`). There are no defaults: the harness supplies the
+    shape parameter, wavenumber and decay rate a config leaves out.
     """
-    if family not in CATALOG:
-        raise ParameterError(f"unknown kernel family {family!r}")
-    given = {"c": 1.0 if c is None else c, "k": k, "omega": omega}
-    params = {
-        name: check_parameter(family, name, given[name]) for name in FAMILY_PARAMETERS[family]
-    }
-    make, singular, top = _FAMILIES[family]
+    params = check_parameters(family, params)
+    make, singular, top, takes = _FAMILIES[family]
+    missing = [name for name in takes if name not in params]
+    if missing:
+        raise ParameterError(f"kernel {family!r} needs parameter {', '.join(missing)}")
     return RadialKernel(family, singular, make(**params), top_order=top, **params)
 
 
@@ -536,7 +536,7 @@ def higher_order_solution(operator, order: int) -> RadialKernel:
     """
     if order < 0 or order > MAX_CHAIN_ORDER:
         raise UnsupportedError(f"chain order must be in 0..{MAX_CHAIN_ORDER}, got {order}")
-    kind = getattr(operator, "kind", operator)
+    kind = operator.kind
     if kind == "helmholtz_2d":
         k = operator.k
         if order == 0:

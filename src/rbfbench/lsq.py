@@ -98,17 +98,11 @@ def assemble_overdetermined(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
-    bc.check_counts(field_nodes)
+    data = bc.stacked(field_nodes)
     xi = field_nodes.interior
     rows = [("op", xi)] + boundary_groups(field_nodes)
     G = collocation_matrix(op, psi, rows, [(SCHEMES[scheme], source_points)])
-    b = np.concatenate(
-        [
-            np.asarray(f(xi), dtype=float) if len(xi) else np.empty(0),
-            bc.dirichlet_values,
-            bc.neumann_values,
-        ]
-    )
+    b = np.concatenate([np.asarray(f(xi), dtype=float) if len(xi) else np.empty(0), data])
     return OverdeterminedSystem(G=G, b=b)
 
 

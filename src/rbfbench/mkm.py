@@ -52,7 +52,7 @@ def _domain_system(
     nodes: NodeSet, op: OperatorSpec, bc: BoundaryData, f_samples, phi: RadialKernel, hermite: bool
 ) -> MkmSystem:
     """The system of `assemble_mkm` (`hermite`) or of `solve_kansa_baseline`."""
-    bc.check_counts(nodes)
+    data = bc.stacked(nodes)
     centers = nodes.all_points()
     f = np.asarray(f_samples, dtype=float)
     if len(f) != len(centers):
@@ -63,7 +63,7 @@ def _domain_system(
     else:
         governed, cols = nodes.interior, [("value", centers)]
     A = collocation_matrix(op, phi, [("op", governed)] + groups, cols)
-    rhs = np.concatenate([f[: len(governed)], bc.dirichlet_values, bc.neumann_values])
+    rhs = np.concatenate([f[: len(governed)], data])
     return MkmSystem(matrix=A, rhs=rhs, op=op, kernel=phi, columns=cols)
 
 

@@ -31,16 +31,14 @@ class BenchmarkProblem:
     operator: Optional[OperatorSpec]
     exact: Callable  # (P,2) -> (P,)
     exact_grad: Optional[Callable]  # (P,2) -> (P,2)
-    f: Optional[Callable]  # None means homogeneous
+    f: Callable  # (P,2) -> (P,): the source term, the zero function when homogeneous
     bc_rule: tuple  # Dirichlet parameter intervals
     methods: frozenset
     f_chain: Optional[tuple] = None
     f_grad_chain: Optional[tuple] = None
     kind: str = "pde"  # "pde" | "fit"
 
-    def f_samples(self, points: np.ndarray) -> Optional[np.ndarray]:
-        if self.f is None:
-            return None
+    def f_samples(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(points), dtype=float)
 
 
@@ -83,8 +81,7 @@ def consistency_residual(problem: BenchmarkProblem, n_probes: int = 100) -> floa
         probes.extend(cand.tolist())
     pts = np.array(probes[:n_probes])
     image = _fd_operator_image(problem.operator, problem.exact, pts)
-    fvals = problem.f(pts) if problem.f is not None else 0.0
-    return float(np.max(np.abs(image - fvals)))
+    return float(np.max(np.abs(image - problem.f(pts))))
 
 
 def check_consistency(problem: BenchmarkProblem):
@@ -115,7 +112,7 @@ def _helmholtz_disk() -> BenchmarkProblem:
         operator=helmholtz(k),
         exact=exact,
         exact_grad=grad,
-        f=None,
+        f=_const_fn(0.0),
         bc_rule=((0.0, 0.5),),
         methods=frozenset({"bkm", "bkm_direct", "bpm", "mkm", "kansa", "lsq"}),
         f_chain=tuple(_const_fn(0.0) for _ in range(4)),
@@ -217,7 +214,7 @@ def _step_fit() -> BenchmarkProblem:
         operator=None,
         exact=target,
         exact_grad=None,
-        f=None,
+        f=_const_fn(0.0),
         bc_rule=((0.0, 1.0),),
         methods=frozenset({"lsq"}),
         kind="fit",

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from rbfbench import bkm
+from rbfbench import bkm, bpm, lsq, mkm
 from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
 from rbfbench.errors import ConditioningError, InvalidKernelError
 from rbfbench.geometry import DomainSpec, NodeSet, generate_nodes, partition_boundary
-from rbfbench.kernels import build_kernel
+from rbfbench.kernels import build_kernel, higher_order_solution
 from rbfbench.operators import (
     convection_diffusion,
     helmholtz,
@@ -294,6 +294,66 @@ def test_bc_count_mismatch_rejected():
         )
 
 
+def _zero(p):
+    return np.zeros(len(p))
+
+
+def _zero_grad(p):
+    return np.zeros((len(p), 2))
+
+
+#: the four solvers that stack boundary data into a right-hand side, each
+#: called on (nodes, bc)
+STACKING_SOLVERS = {
+    "solve_indirect": lambda nodes, bc: bkm.solve_indirect(nodes, OP, bc, None, None, U_SHARP),
+    "solve_bpm": lambda nodes, bc: bpm.solve_bpm(
+        nodes,
+        bpm.MrmProblem(OP, bc, (_zero,), 1, (_zero_grad,)),
+        [higher_order_solution(OP, m) for m in range(2)],
+    ),
+    "assemble_mkm": lambda nodes, bc: mkm.assemble_mkm(
+        nodes, OP, bc, np.zeros(len(nodes.all_points())), build_kernel("mq", c=0.8)
+    ),
+    "assemble_overdetermined": lambda nodes, bc: lsq.assemble_overdetermined(
+        nodes.all_points(), nodes, OP, bc, _zero, build_kernel("mq", c=0.8)
+    ),
+}
+
+
+@pytest.mark.parametrize("part", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("solver", list(STACKING_SOLVERS))
+def test_boundary_data_count_mismatch_refused(solver, part):
+    nodes = mixed_nodes(n_boundary=16, n_interior=6)
+    L_D, L_N = len(nodes.dirichlet_idx), len(nodes.neumann_idx)
+    extra = {"dirichlet": (1, 0), "neumann": (0, -1)}[part]
+    bad = bkm.BoundaryData(np.zeros(L_D + extra[0]), np.zeros(L_N + extra[1]))
+    with pytest.raises(ValueError, match=f"{part.capitalize()} value count"):
+        STACKING_SOLVERS[solver](nodes, bad)
+
+
+def test_stacked_is_a_new_array_each_call():
+    nodes = mixed_nodes()
+    bc = sample_bc(nodes, get_problem("helmholtz_disk"))
+    first, second = bc.stacked(nodes), bc.stacked(nodes)
+    assert np.array_equal(first, np.concatenate([bc.dirichlet_values, bc.neumann_values]))
+    assert np.array_equal(first, second)
+    for a, b in [(first, second), (first, bc.dirichlet_values), (first, bc.neumann_values)]:
+        assert not np.shares_memory(a, b)
+
+
+def test_inhomogeneous_solve_leaves_boundary_data_unchanged():
+    # solve_indirect subtracts the particular traces from its right-hand
+    # side in place; the caller's boundary data must not see it
+    nodes = mixed_nodes(n_boundary=16, n_interior=10)
+    bc = sample_bc(nodes, get_problem("helmholtz_disk"))
+    before = [bc.dirichlet_values.copy(), bc.neumann_values.copy()]
+    fs = np.ones(len(nodes.all_points()))
+    sol = bkm.solve_indirect(nodes, OP, bc, fs, build_kernel("mq", c=0.8), U_SHARP)
+    assert len(sol.terms) == 2  # the particular fit ran
+    assert np.array_equal(bc.dirichlet_values, before[0])
+    assert np.array_equal(bc.neumann_values, before[1])
+
+
 def test_boundary_trace_pairs_have_one_sampler():
     # values on the Dirichlet part and gradient . normal on the Neumann part
     # are sampled in BoundaryData.from_callables only; BPM's source chain and
@@ -309,3 +369,11 @@ def test_boundary_trace_pairs_have_one_sampler():
             sites.append((path.name, defs[-1] if defs else None, lineno))
     assert [site[:2] for site in sites] == [("bkm.py", "from_callables")], sites
     assert "_FD_" not in (SRC / "bpm.py").read_text()
+    # and they are stacked into [Dirichlet | Neumann] in BoundaryData.stacked only
+    stacks = []
+    for path in files:
+        text = path.read_text()
+        for match in re.finditer(r"dirichlet_values,\s*(\w+\.)?neumann_values", text):
+            defs = re.findall(r"^\s*def (\w+)", text[: match.start()], re.M)
+            stacks.append((path.name, defs[-1] if defs else None))
+    assert stacks == [("bkm.py", "stacked")], stacks

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from scipy import special
 from conftest import central_d1, radial_fd_laplacian
 from rbfbench.errors import ParameterError, SingularityError, UnsupportedError
 from rbfbench.kernels import (
+    _FAMILIES,
     _SERIES_CUTOVER,
     CATALOG,
     MAX_CHAIN_ORDER,
@@ -229,6 +231,16 @@ def test_parameter_validation():
         build_kernel("gaussian", c=0.0)
     with pytest.raises(ParameterError):
         build_kernel("mqq")
+    with pytest.raises(ParameterError, match="takes no parameter 'k'"):
+        build_kernel("gaussian", c=0.5, k=3.0)
+    with pytest.raises(ParameterError, match="needs parameter c"):
+        build_kernel("mq")
+
+
+def test_family_factories_take_their_declared_parameters():
+    # the family table's parameter ranges name exactly the factory's keywords
+    for family, (make, _, _, params) in _FAMILIES.items():
+        assert list(inspect.signature(make).parameters) == list(params), family
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
