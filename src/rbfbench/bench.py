@@ -36,7 +36,7 @@ from .kernels import (
     default_shape_parameter,
     higher_order_solution,
 )
-from .operators import Expansion, OperatorSpec, Term, kernel_value_matrix
+from .operators import Expansion, OperatorSpec, Term
 from .problems import PROBLEM_NAMES, BenchmarkProblem, check_consistency, get_problem
 
 METHOD_NAMES = ("bkm", "bkm_direct", "bpm", "mkm", "kansa", "lsq")
@@ -243,7 +243,7 @@ def _solve(
     method: str,
     spec: tuple,
     nodes: NodeSet,
-    bc: Optional[bkm.BoundaryData],
+    bc: bkm.BoundaryData,
     cfg: BenchConfig,
 ) -> tuple:
     """(kernel, solution) of one run: an Expansion, or RecoveredTraces for bkm_direct."""
@@ -271,13 +271,8 @@ def _solve(
         generate_nodes(problem.domain, 2 * nodes.n_boundary, 2 * nodes.n_interior, cfg.seed + 1),
         problem.bc_rule,
     )
-    if problem.kind == "fit":
-        targets = np.asarray(problem.exact(field_nodes.all_points()), dtype=float)
-        G = kernel_value_matrix(phi, field_nodes.all_points(), src)
-        system = lsq.OverdeterminedSystem(G=G, b=targets)
-    else:
-        field_bc = bkm.BoundaryData.from_callables(field_nodes, problem.exact, problem.exact_grad)
-        system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, problem.f, phi)
+    field_bc = bkm.BoundaryData.from_callables(field_nodes, problem.exact, problem.exact_grad)
+    system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, problem.f, phi)
     result = lsq.solve_least_squares(system, method="orthogonal")
     return phi, Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
 
@@ -320,9 +315,7 @@ def _single_run(
         generate_nodes(problem.domain, n_boundary, cfg.n_interior, cfg.seed),
         problem.bc_rule,
     )
-    bc = None
-    if problem.kind == "pde":
-        bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
+    bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
 
     start = time.perf_counter() if cfg.timing else None
     kernel, solution = _solve(problem, method, spec, nodes, bc, cfg)
@@ -348,7 +341,7 @@ def _single_run(
         domain=_domain_label(problem.domain),
         n_boundary=n_boundary,
         n_interior=cfg.n_interior,
-        shape_param=kernel.c or None,
+        shape_param=kernel.c if "c" in FAMILY_PARAMETERS[kernel.family] else None,
         wavenumber=(op.k if op is not None and op.k > 0 else None),
         M_order=solution.order if isinstance(solution, bpm.BpmSolution) else None,
         l2_rel_err=metrics.l2_rel_err,

@@ -34,7 +34,7 @@ class InvalidKernelError(RbfError):
 
 
 class KernelSmoothnessError(RbfError):
-    """Kernel lacks the radial derivatives a scheme needs."""
+    """Kernel lacks the radial derivatives a scheme needs, or their limits at coincident points."""
 
 
 class ShapeError(RbfError):

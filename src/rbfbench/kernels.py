@@ -15,7 +15,8 @@ and computes the subexpressions the orders share (the MQ square root,
 the Gaussian exponential, the Bessel values) once per call. Orders past
 the last one read are never evaluated. `derivs_upto_many` evaluates a
 list of kernels at the same radii; the members of one Helmholtz chain
-there share one Bessel table J_0 ... J_M.
+there share one Bessel table J_0 ... J_M, and their formulas hold at
+r = 0 too.
 
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
@@ -47,8 +48,9 @@ class RadialKernel:
 
     `radial` is the family's derivative generator and `top_order` the
     highest radial derivative it yields (4 for families that support
-    fourth-order schemes, 2 otherwise). The generator patches the r == 0
-    limit where one exists; singular kernels refuse evaluation at r == 0.
+    fourth-order schemes, 2 otherwise). The generator yields the r == 0
+    limit where one exists (TPS's phi'' reads -inf there, its limit);
+    singular kernels refuse evaluation at r == 0.
     """
 
     family: str
@@ -111,14 +113,11 @@ def derivs_upto_many(kernels, r, n: int) -> list:
             raise SingularityError(f"kernel {kern.name} is singular at r = 0")
         if kern.family == "higher_order" and kern.k > 0:  # the Laplace chain has k = 0
             tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
-    if tables:
-        nz = arr > 0.0
-        q = arr[nz]
-        tables = {k: _bessel_table(k * q, m) for k, m in tables.items()}
+    tables = {k: _bessel_table(k * arr, m) for k, m in tables.items()}
     out = []
     for kern in kernels:
         if kern.family == "higher_order" and kern.k in tables:
-            gen = _chain_derivs(kern.k, kern.order, nz, q, tables[kern.k])
+            gen = _chain_derivs(kern.k, kern.order, arr, tables[kern.k])
         else:
             gen = kern.radial(arr)
         vals = tuple(islice(gen, n + 1))
@@ -204,15 +203,15 @@ def _gaussian(c: float) -> _Radial:
 
 
 def _tps() -> _Radial:
-    # phi'' has no finite limit at the origin; the r == 0 value is a
-    # bookkeeping convention and must not feed operator evaluations there.
+    # phi'' = 2 ln r + 3 tends to -inf at the origin, which is its r == 0 value, so
+    # that a block reading it at coincident points refuses the kernel
     def radial(r):
         nz = r > 0.0
         q = r[nz]
         log = np.log(q)
         yield _piecewise(nz, q * q * log, 0.0)
         yield _piecewise(nz, 2.0 * q * log + q, 0.0)
-        yield _piecewise(nz, 2.0 * log + 3.0, 0.0)
+        yield _piecewise(nz, 2.0 * log + 3.0, -np.inf)
 
     return radial
 
@@ -373,7 +372,7 @@ def check_parameter(family: str, name: str, value) -> float:
     finite at r = 0 and at r = 2, the largest distance in a benchmark domain
     (Gaussian's 16 a^4 r^4 overflows sooner at larger r). Singular families,
     whose pole is refused where it is evaluated, and MQ at c = 0 (phi = r,
-    whose kink the fourth-order schemes refuse) are not probed at r = 0."""
+    whose kink a block refuses at coincident points) are not probed at r = 0."""
     bound = FAMILY_PARAMETERS[family][name]
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -600,23 +599,21 @@ def _bessel_series(n: int, half: np.ndarray, t: np.ndarray) -> np.ndarray:
     return half**n * acc
 
 
-def _chain_derivs(k: float, m: int, nz, q, J) -> Iterator[np.ndarray]:
-    """phi, phi', phi'' of the order-m chain kernel, q = r[nz] the positive
-    radii and J a Bessel table at k q reaching at least order m."""
+def _chain_derivs(k: float, m: int, r, J) -> Iterator[np.ndarray]:
+    """phi, phi', phi'' of the order-m chain kernel at the radii r >= 0, J a
+    Bessel table at k r reaching at least order m. The formulas are finite at
+    r = 0 and give its limits there: 0.0, 0.0 and a k (m = 1) or 0.0."""
     a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
-    qm = q**m
-    yield _piecewise(nz, a * qm * J[m], 0.0)
-    yield _piecewise(nz, a * k * qm * J[m - 1], 0.0)
+    rm = r**m
+    yield a * rm * J[m]
+    yield a * k * rm * J[m - 1]
     jm2 = J[m - 2] if m >= 2 else -J[1]  # J_(-1) = -J_1
-    d2_limit = a * k if m == 1 else 0.0
-    yield _piecewise(nz, a * (k * q ** (m - 1) * J[m - 1] + k * k * qm * jm2), d2_limit)
+    yield a * (k * r ** (m - 1) * J[m - 1] + k * k * rm * jm2)
 
 
 def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     def radial(r):
-        nz = r > 0.0
-        q = r[nz]
-        yield from _chain_derivs(k, m, nz, q, _bessel_table(k * q, m))
+        yield from _chain_derivs(k, m, r, _bessel_table(k * r, m))
 
     return RadialKernel(
         "higher_order", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"

@@ -1,8 +1,9 @@
 """Overdetermined RBF collocation solved in the least-squares sense.
 
 Source and field node sets need not coincide: each field node
-contributes one row (governing equation or boundary condition), each
-source node one expansion column. Two solution paths are provided: the
+contributes one row (governing equation, field value in a data fit
+without an operator, or boundary condition), each source node one
+expansion column. Two solution paths are provided: the
 literal normal equations, and an orthogonal-factorization solve that is
 the numerically preferred default because forming G^T G squares the
 condition number. The orthogonal solve is a Householder QR of G with a
@@ -83,7 +84,7 @@ class OverdeterminedSystem:
 def assemble_overdetermined(
     source_points: np.ndarray,
     field_nodes: NodeSet,
-    op: OperatorSpec,
+    op: OperatorSpec | None,
     bc: BoundaryData,
     f: Callable,
     psi: RadialKernel,
@@ -94,13 +95,16 @@ def assemble_overdetermined(
     `kansa_like` uses plain kernel columns; `mkm_like` uses
     adjoint-operator images of the kernel as the expansion basis. Rows
     are ordered [field interior | field Dirichlet | field Neumann] and
-    carry unit weights.
+    carry unit weights. An interior row is L{u} = f; with `op` None (a
+    data fit) it is u = f, and `mkm_like` (adjoint columns) a ValueError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
+    if op is None and scheme == "mkm_like":
+        raise ValueError("scheme 'mkm_like' needs an operator for its adjoint columns")
     data = bc.stacked(field_nodes)
     xi = field_nodes.interior
-    rows = [("op", xi)] + boundary_groups(field_nodes)
+    rows = [("value" if op is None else "op", xi)] + boundary_groups(field_nodes)
     G = collocation_matrix(op, psi, rows, [(SCHEMES[scheme], source_points)])
     b = np.concatenate([np.asarray(f(xi), dtype=float) if len(xi) else np.empty(0), data])
     return OverdeterminedSystem(G=G, b=b)
@@ -167,6 +171,7 @@ def solve_least_squares(
     finds the rank short.
     """
     G, b = system.G, system.b
+    N = system.source_count
     if method == "normal_equations":
         try:
             lu = factor(G.T @ G, "normal equations", limit=CONDITION_LIMIT)
@@ -175,14 +180,8 @@ def solve_least_squares(
             raise RankError(
                 f"normal equations are rank deficient (condition {exc.estimate:.3e})"
             ) from exc
-        return LeastSquaresResult(
-            beta=beta,
-            sigma=residual_sigma(system, beta),
-            rank_deficient=False,
-            cond_est=lu.cond_est,
-        )
-    if method == "orthogonal":
-        N = system.source_count
+        rank, cond = N, lu.cond_est
+    elif method == "orthogonal":
         R, c = _triangularize(G, b)
         trtrs, trcon = get_lapack_funcs(("trtrs", "trcon"), (R,))
         x, info = trtrs(R, c, overwrite_b=1)
@@ -191,10 +190,6 @@ def solve_least_squares(
         beta, rank = x[:, 0], N
         if cond > CONDITION_LIMIT:
             beta, _, rank, _ = lstsq(G, b)
-        return LeastSquaresResult(
-            beta=beta,
-            sigma=residual_sigma(system, beta),
-            rank_deficient=rank < N,
-            cond_est=float(cond),
-        )
-    raise ValueError(f"method must be 'normal_equations' or 'orthogonal', got {method!r}")
+    else:
+        raise ValueError(f"method must be 'normal_equations' or 'orthogonal', got {method!r}")
+    return LeastSquaresResult(beta, residual_sigma(system, beta), rank < N, float(cond))

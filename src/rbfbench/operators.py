@@ -32,9 +32,11 @@ slower end to end when shared. Coincident field/source pairs (r below 1e-8)
 are patched with the analytic limits, read from that same pass at r = 0
 (every smooth kernel's generator returns its r = 0 limits); for smooth
 radial kernels the gradient at the origin is the zero vector and the
-Laplacian limit is 2*phi''(0). Every solved field of every scheme is an
-`Expansion`, a sum of kernel expansions evaluated through the same
-function, and the check `homogeneous_residual` is one call of it too.
+Laplacian limit is 2*phi''(0), so a tile with coincident pairs refuses a
+kernel whose r = 0 values are not such limits (`_origin_defect`). Every
+solved field of every scheme is an `Expansion`, a sum of kernel
+expansions evaluated through the same function, and the check
+`homogeneous_residual` is one call of it too.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, groupby
 from typing import NamedTuple
 
@@ -114,6 +116,11 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ParameterError(f"unknown operator kind {self.kind!r}")
+        # a setting the kind does not read would be silently ignored
+        if self.k and self.kind in ("laplace_2d", "convection_diffusion_2d"):
+            raise ParameterError(f"operator {self.kind!r} takes no wavenumber, got k = {self.k}")
+        if self.kind != "convection_diffusion_2d" and (self.diffusivity != 1 or any(self.velocity)):
+            raise ParameterError(f"operator {self.kind!r} takes no diffusivity or velocity")
         if self.kind in ("helmholtz_2d", "mod_helmholtz_2d") and not (
             math.isfinite(self.k) and self.k > 0
         ):
@@ -137,13 +144,11 @@ class OperatorSpec:
 
     @property
     def diff_coeff(self) -> float:
-        return self.diffusivity if self.kind == "convection_diffusion_2d" else 1.0
+        return self.diffusivity
 
     @property
     def velocity_vec(self) -> np.ndarray:
-        if self.kind == "convection_diffusion_2d":
-            return np.asarray(self.velocity, dtype=float)
-        return np.zeros(2)
+        return np.asarray(self.velocity, dtype=float)
 
 
 def laplace() -> OperatorSpec:
@@ -237,7 +242,7 @@ class _Pairs:
 # which `_block` first sets to 0 on the coincident mask `g.z` (phi, phi',
 # ... up to the order `_FORMULAS` lists). Every smooth kernel's generator
 # returns its r = 0 limits, so a formula patches the coincident entries
-# with analytic limits read there.
+# with analytic limits read there (`_block` refuses any other kernel).
 
 
 def _value_value(op, g, f, nx, ny):
@@ -437,6 +442,9 @@ def _block(op, kernels, pole, row, col, outs):
     def tile(rows):
         g = _Pairs(pole, X[rows], Y, what, nn if nn is None else nn[rows], planes)
         if order and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
+            for kernel in kernels:
+                if defect := _origin_defect(kernel, order):
+                    raise KernelSmoothnessError(f"{what} at coincident points: {defect}")
             np.copyto(g.r, 0.0, where=g.z)
         fs = derivs_upto_many(kernels, g.r, order)
         tx = nx if nx is None else nx[rows]
@@ -566,13 +574,18 @@ def _require_fourth_order(kernel: RadialKernel, order: int):
             f"kernel {kernel.name} lacks the {need} radial derivatives "
             "needed by fourth-order schemes"
         )
-    # phi'(0) can be 0/0 (MQ with c = 0 is phi = r): not finite counts as a kink
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = kernel.derivs_upto(0.0, 1)[1]
-    if not math.isfinite(slope) or abs(slope) > 1e-12:
-        raise KernelSmoothnessError(
-            f"kernel {kernel.name} has a kink at the origin (phi'(0) = {slope:g})"
-        )
+
+
+@lru_cache(maxsize=256)  # RadialKernel is frozen and hashes by its parameters
+def _origin_defect(kernel: RadialKernel, order: int) -> str:
+    """Why a block reading derivatives up to `order` cannot patch coincident pairs with
+    `kernel`'s r = 0 values ('' if it can): one is not finite, or phi'(0) is not 0."""
+    with np.errstate(all="ignore"):  # MQ with c = 0 is phi = r, whose phi'(0) is 0/0
+        limits = kernel.derivs_upto(0.0, order)
+    if all(map(math.isfinite, limits)) and abs(limits[1]) <= 1e-12:
+        return ""
+    shown = ", ".join(f"{v:g}" for v in limits)
+    return f"kernel {kernel.name} is not smooth at the origin (phi, phi', ... at r = 0: {shown})"
 
 
 #: where `homogeneous_residual` samples: radii 0.5, 1 and 2 along both axes,

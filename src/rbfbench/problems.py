@@ -31,7 +31,7 @@ class BenchmarkProblem:
     operator: Optional[OperatorSpec]
     exact: Callable  # (P,2) -> (P,)
     exact_grad: Optional[Callable]  # (P,2) -> (P,2)
-    f: Callable  # (P,2) -> (P,): the source term, the zero function when homogeneous
+    f: Callable  # (P,2) -> (P,): L{exact}, zero when homogeneous; a fit's (no operator) is exact
     bc_rule: tuple  # Dirichlet parameter intervals
     methods: frozenset
     f_chain: Optional[tuple] = None
@@ -214,7 +214,7 @@ def _step_fit() -> BenchmarkProblem:
         operator=None,
         exact=target,
         exact_grad=None,
-        f=_const_fn(0.0),
+        f=target,
         bc_rule=((0.0, 1.0),),
         methods=frozenset({"lsq"}),
         kind="fit",

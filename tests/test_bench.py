@@ -103,7 +103,7 @@ def chain_defects(problem) -> list:
     """Entries of the source-term chain that disagree with L^j{f} or with their gradients."""
     pts = np.random.default_rng(3).uniform(-0.5, 0.5, (20, 2))
     chain, grads = problem.f_chain, problem.f_grad_chain
-    f = problem.f(pts) if problem.f is not None else 0.0
+    f = problem.f(pts)
     defects = [] if np.allclose(chain[0](pts), f, rtol=0, atol=CONSISTENCY_TOL) else ["f_chain[0]"]
     for j in range(1, len(chain)):
         image = _fd_operator_image(problem.operator, chain[j - 1], pts)
@@ -150,6 +150,21 @@ def test_single_combo_yields_header_plus_one_row():
     lines = report.to_csv().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "kernel, cell",
+    [
+        ({"family": "mq", "c": 0}, "0.0"),
+        ({"family": "mq", "c": 0.8}, "0.8"),
+        ({"family": "gaussian", "c": 0.5}, "0.5"),
+        ({"family": "helmholtz_gs_2d"}, ""),
+    ],
+)
+def test_shape_param_cell_is_empty_only_for_families_without_c(kernel, cell):
+    report = run_benchmark({**SMALL, "kernels": [kernel]})
+    assert report.exit_code == 0
+    assert report.to_csv().splitlines()[1].split(",")[6] == cell  # the shape_param cell
 
 
 def test_csv_ends_with_lf_and_fields_roundtrip(tmp_path):
@@ -490,6 +505,39 @@ def test_solver_failure_sets_exit_code():
     assert report.exit_code == 1
     assert len(report.rows) == 0
     assert "KernelSmoothnessError" in report.errors[0]
+
+
+def test_rough_kernels_are_refused_where_points_coincide():
+    # a block that reads radial derivatives patches coincident pairs with the kernel's
+    # r = 0 values, which must be finite limits with phi'(0) = 0; before the check these
+    # rows returned wrong errors silently or after numpy warnings (errors under tier-1)
+    exp2 = {"family": "exp_decay", "omega": 2.0}
+    refused = [
+        ("poisson_square_inhom", "kansa", {"family": "tps"}, 32, "op"),
+        ("poisson_square_inhom", "kansa", exp2, 32, "op"),
+        ("helmholtz_disk_inhom", "bkm", exp2, 32, "op"),
+        ("poisson_square_inhom", "kansa", {"family": "mq", "c": 0}, 32, "op"),
+        ("helmholtz_disk", "lsq", {"family": "mq", "c": 0}, 16, "normal"),
+        ("poisson_square_inhom", "kansa", {"family": "laplace_fs_1d"}, 32, "op"),
+    ]
+    for problem, method, kernel, nb, rows in refused:
+        cfg = {"problems": [problem], "methods": [method], "kernels": [kernel], "n_boundary": nb}
+        report = run_benchmark(cfg)
+        assert report.rows == [] and len(report.errors) == 1
+        block, family = f"{rows} rows x value columns", kernel["family"]
+        assert f"Error: {block} at coincident points: kernel {family} " in report.errors[0]
+        assert "KernelSmoothnessError" in report.errors[0]
+    assert build_kernel("tps").derivs_upto(0.0, 2) == (0.0, 0.0, -np.inf)
+    # the LSQ field nodes on the square meet no source node, so these rows still solve
+    for kernel, l2 in (
+        ({"family": "tps"}, 0.3675192924428705),
+        (exp2, 0.5878741687893884),
+        ({"family": "laplace_fs_1d"}, 0.4344282700324102),
+    ):
+        cfg = {"problems": ["poisson_square_inhom"], "methods": ["lsq"], "kernels": [kernel]}
+        report = run_benchmark(cfg)
+        assert report.exit_code == 0
+        assert report.rows[0].l2_rel_err == pytest.approx(l2, rel=1e-9)
 
 
 def test_timing_flag_records_wall_clock():

@@ -601,6 +601,23 @@ def test_chain_kernels_match_jv_formula(m, k):
         assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), f"order {order}"
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+def test_chain_kernels_read_their_exact_limits_at_the_origin(m, k):
+    # the chain's formulas give the r = 0 limits themselves, sign of zero included, on
+    # the scalar path and among positive radii (one past the series cutover) in a table
+    # shared with the next lower order
+    a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
+    want = np.array([0.0, 0.0, a * k if m == 1 else 0.0])
+    kern, lower = (higher_order_solution(helmholtz(k), j) for j in (m, m - 1))
+    r = np.array([0.0, 0.3, 0.0, 2.5 / k, 0.0])
+    scalar = np.array(kern.derivs_upto(0.0, 2))[:, None]
+    arrays = np.array(derivs_upto_many([lower, kern], r, 2)[1])[:, r == 0.0]
+    for got in (scalar, arrays):
+        assert np.array_equal(got, np.repeat(want[:, None], got.shape[1], axis=1))
+        assert not np.signbit(got).any()
+
+
 def test_no_arbitrary_order_bessel_in_library():
     # scipy's jv costs tens of times j0/j1 per element; the chain kernels
     # build their orders from j0/j1 (kernels._bessel_table)

@@ -153,6 +153,22 @@ def test_mkm_like_scheme_uses_operator_basis():
     assert np.array_equal(system.G[len(nodes.interior) : len(nodes.interior) + nD], want_d)
 
 
+def test_fit_rows_are_the_kernel_value_system():
+    # step_fit's node sets as the harness builds them: with no operator the interior
+    # rows are field values, and an all-Dirichlet partition keeps all_points() order
+    p = get_problem("step_fit")
+    src = generate_nodes(p.domain, 32, 60, seed=7).all_points()
+    field_nodes = partition_boundary(generate_nodes(p.domain, 64, 120, seed=8), p.bc_rule)
+    field_bc = bkm.BoundaryData.from_callables(field_nodes, p.exact, p.exact_grad)
+    phi = build_kernel("mq", c=0.2)
+    system = lsq.assemble_overdetermined(src, field_nodes, None, field_bc, p.exact, phi)
+    points = field_nodes.all_points()
+    assert np.array_equal(system.G, kernel_value_matrix(phi, points, src))
+    assert np.array_equal(system.b, p.exact(points))
+    with pytest.raises(ValueError, match="mkm_like"):
+        lsq.assemble_overdetermined(src, field_nodes, None, field_bc, p.exact, phi, "mkm_like")
+
+
 def test_monotone_refinement_on_consistent_problem():
     # data manufactured inside the expansion span: every field set sees an
     # exactly representable right-hand side, so the per-row residual stays

@@ -55,6 +55,28 @@ def test_operator_parameter_validation():
             mod_helmholtz(bad)
         with pytest.raises(ParameterError):
             convection_diffusion(bad, (0.0, 0.0))
+    # a setting the kind does not read is refused, not silently ignored
+    for kind, setting in (
+        ("laplace_2d", dict(k=5.0)),
+        ("convection_diffusion_2d", dict(k=5.0)),
+        ("laplace_2d", dict(diffusivity=3.0)),
+        ("laplace_2d", dict(velocity=(1.0, 0.0))),
+        ("helmholtz_2d", dict(k=2.0, diffusivity=3.0)),
+        ("helmholtz_2d", dict(k=2.0, velocity=(0.0, -1.0))),
+        ("mod_helmholtz_2d", dict(k=2.0, diffusivity=float("nan"))),
+        ("mod_helmholtz_2d", dict(k=2.0, velocity=(float("nan"), 0.0))),
+    ):
+        with pytest.raises(ParameterError):
+            OperatorSpec(kind, **setting)
+    with pytest.raises(ParameterError):
+        OperatorSpec("laplace_2d", k=5.0, diffusivity=3.0, velocity=(1.0, 0.0))
+    op = convection_diffusion(0.5, (1.0, -2.0))
+    assert (op.diff_coeff, op.reaction) == (0.5, 0.0)
+    assert np.array_equal(op.velocity_vec, [1.0, -2.0])
+    assert np.array_equal(adjoint_of(op).velocity_vec, [-1.0, 2.0])
+    for op in (laplace(), helmholtz(2.0), mod_helmholtz(2.0)):
+        assert op.diff_coeff == 1.0 and np.array_equal(op.velocity_vec, np.zeros(2))
+        assert adjoint_of(op) == op
 
 
 def test_laplacian_of_r_squared_is_four():
