@@ -31,7 +31,7 @@ class BenchmarkProblem:
     operator: Optional[OperatorSpec]
     exact: Callable  # (P,2) -> (P,)
     exact_grad: Optional[Callable]  # (P,2) -> (P,2)
-    f: Callable  # (P,2) -> (P,): L{exact}, zero when homogeneous; a fit's (no operator) is exact
+    f: Callable  # (P,2) -> (P,): L{exact}, zero when homogeneous; exact itself for a fit
     bc_rule: tuple  # Dirichlet parameter intervals
     methods: frozenset
     f_chain: Optional[tuple] = None
