@@ -15,8 +15,7 @@ and computes the subexpressions the orders share (the MQ square root,
 the Gaussian exponential, the Bessel values) once per call. Orders past
 the last one read are never evaluated. `derivs_upto_many` evaluates a
 list of kernels at the same radii; the members of one Helmholtz chain
-there share one Bessel table J_0 ... J_M, and their formulas hold at
-r = 0 too.
+there share one Bessel table J_0 ... J_M.
 
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
@@ -600,9 +599,8 @@ def _bessel_series(n: int, half: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _chain_derivs(k: float, m: int, r, J) -> Iterator[np.ndarray]:
-    """phi, phi', phi'' of the order-m chain kernel at the radii r >= 0, J a
-    Bessel table at k r reaching at least order m. The formulas are finite at
-    r = 0 and give its limits there: 0.0, 0.0 and a k (m = 1) or 0.0."""
+    """phi, phi', phi'' of the order-m chain kernel at radii r >= 0, J a Bessel table at
+    k r reaching at least order m; at r = 0 they are the limits 0, 0 and a k (m = 1) or 0."""
     a = 1.0 / ((2.0 * k) ** m * math.factorial(m))
     rm = r**m
     yield a * rm * J[m]
