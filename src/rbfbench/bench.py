@@ -52,11 +52,11 @@ class ErrorMetrics:
     used_absolute_norm: bool = False
 
 
-def probe_grid(domain: DomainSpec, n: int = PROBE_GRID_SIZE) -> np.ndarray:
+def probe_grid(domain: DomainSpec) -> np.ndarray:
     """Tensor grid over the bounding box, clipped strictly inside the domain."""
     (xlo, xhi), (ylo, yhi) = domain.bounding_box
-    xs = np.linspace(xlo, xhi, n)
-    ys = np.linspace(ylo, yhi, n)
+    xs = np.linspace(xlo, xhi, PROBE_GRID_SIZE)
+    ys = np.linspace(ylo, yhi, PROBE_GRID_SIZE)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     return pts[distance_to_boundary(domain, pts) > 1e-9]
@@ -249,8 +249,6 @@ def _solve(
     """(kernel, solution) of one run: an Expansion, or RecoveredTraces for bkm_direct."""
     op = problem.operator
     if method == "bpm":
-        if problem.f_chain is None:
-            raise ConfigError(f"problem {problem.name!r} provides no source-term chain")
         chain = [higher_order_solution(op, m) for m in range(cfg.bpm_order + 1)]
         mrm = bpm.MrmProblem(op, bc, problem.f_chain, cfg.bpm_order, problem.f_grad_chain)
         return chain[0], bpm.solve_bpm(nodes, mrm, chain)
@@ -360,9 +358,11 @@ def _sweep(config, counts=None):
     every problem name and fills in each problem's wavenumber in the
     kernel specs that need one, all before the first solve; then yields one
     (label, rows, errors) per problem/method/kernel combination, running
-    `counts` (default: the config's n_boundary list) in order. Methods a
-    problem does not support are skipped; solver failures become error
-    lines. Each row's ladder_idx is the index of its count.
+    `counts` (default: the config's n_boundary list) in order. BPM reads no
+    kernel spec: a run solves it once per problem, a ladder study (`counts`
+    given) under every spec, one row per case of perfbench's suite_small.
+    Methods a problem does not support are skipped; solver failures become
+    error lines. Each row's ladder_idx is the index of its count.
     """
     if isinstance(config, BenchConfig):
         cfg = config
@@ -385,7 +385,7 @@ def _sweep(config, counts=None):
             if method not in problem.methods:
                 continue
             label = f"{problem.name}/{method}"
-            for spec in problem_specs:
+            for spec in problem_specs[:1] if method == "bpm" and not counts else problem_specs:
                 rows, errors = [], []
                 for idx, nb in enumerate(counts or cfg.n_boundary):
                     try:

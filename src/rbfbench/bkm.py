@@ -7,6 +7,8 @@ Dirichlet boundary nodes contribute plain kernel columns, Neumann nodes
 contribute source-normal derivative columns with a sign that makes the
 collocation matrix exactly symmetric. Interior nodes never enter the
 boundary solve; the solution evaluates the expansion wherever asked.
+That boundary trace matrix is factored in `assemble_Q` alone, which BPM
+reuses for every order of its series.
 The direct variant is the indirect solve followed by its own product
 with the swapped (complementary) trace matrix.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import CONDITION_LIMIT, factor
+from .linalg import CONDITION_LIMIT, Factor, factor
 from .operators import Expansion, OperatorSpec, Term, collocation_matrix, homogeneous_residual
 
 #: residual ceiling for accepting a kernel as a homogeneous solution
@@ -116,6 +118,12 @@ def assemble_symmetric_system(
     return collocation_matrix(None, u_sharp, groups, groups)
 
 
+def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel) -> Factor:
+    """The factored boundary trace matrix of BKM and of every BPM order; ill-conditioning
+    is reported, not refused (these matrices pass 1e16 while the field stays accurate)."""
+    return factor(assemble_symmetric_system(nodes, op, u_sharp), "boundary knot")
+
+
 def solve_indirect(
     nodes: NodeSet,
     op: OperatorSpec,
@@ -135,13 +143,10 @@ def solve_indirect(
         if phi is None:
             raise ValueError("inhomogeneous problem needs a fitting kernel phi")
         particular = fit_particular(nodes, f_samples, op, phi)
-    A = assemble_symmetric_system(nodes, op, u_sharp)
+    lu = assemble_Q(nodes, op, u_sharp)
     groups = boundary_groups(nodes)
     if particular is not None:
         rhs -= particular.traces(groups)
-    # ill-conditioning is reported, not refused: boundary-knot matrices
-    # routinely pass 1e16 while the collocated field stays accurate
-    lu = factor(A, "boundary knot")
     homogeneous = Term(op, u_sharp, groups, lu.solve(rhs))
     terms = [homogeneous] + (particular.terms if particular is not None else [])
     return Expansion(terms, lu.cond_est)

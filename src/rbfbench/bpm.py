@@ -4,7 +4,8 @@ The particular solution is replaced by a truncated series of
 higher-order homogeneous terms. Each order m is a Hermite expansion in
 the order-m chain kernel (L{u_m} = u_(m-1)); because repeated operator
 application collapses any order onto the base kernel, every order is
-solved with one shared matrix Q, factored once. Orders are solved top
+solved with one shared matrix Q: BKM's boundary trace matrix in the
+order-0 kernel, factored once by `bkm.assemble_Q`. Orders are solved top
 down: the truncation order first (its own tail set to zero), each lower
 order subtracting the traces of the already-solved tail. The chain
 kernels of all orders are evaluated together: each point-set pair gets
@@ -25,11 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bkm import BoundaryData, assemble_symmetric_system, boundary_groups
+from .bkm import BoundaryData, assemble_Q, boundary_groups
 from .errors import ConfigError
 from .geometry import NodeSet
 from .kernels import RadialKernel
-from .linalg import Factor, factor
+from .linalg import Factor
 from .operators import Expansion, OperatorSpec, Term, collocation_matrices
 
 
@@ -39,8 +40,8 @@ class MrmProblem:
 
     `f_chain[j]` evaluates the j-fold operator image of the source term
     (entry 0 is the source term itself) and `f_grad_chain[j]` its
-    gradient, read on Neumann rows. Both chains must reach the truncation
-    order.
+    gradient, read on Neumann rows. Both chains must be given and reach
+    the truncation order.
     """
 
     operator: OperatorSpec
@@ -52,18 +53,10 @@ class MrmProblem:
     def __post_init__(self):
         if self.order < 1:
             raise ConfigError(f"truncation order must be >= 1, got {self.order}")
-        if len(self.f_chain) < self.order:
-            raise ConfigError(
-                f"source-term chain has {len(self.f_chain)} entries; "
-                f"order {self.order} needs at least {self.order}"
-            )
+        if self.f_chain is None or len(self.f_chain) < self.order:
+            raise ConfigError("source-term chain missing or shorter than the truncation order")
         if self.f_grad_chain is None or len(self.f_grad_chain) < self.order:
             raise ConfigError("gradient chain missing or shorter than the truncation order")
-
-
-def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp_0: RadialKernel) -> Factor:
-    """Assemble the shared matrix (identical to the BKM matrix) and factor it."""
-    return factor(assemble_symmetric_system(nodes, op, u_sharp_0), "shared collocation")
 
 
 class BpmSolution(Expansion):

@@ -7,7 +7,8 @@ of the Laplacian in 1/2/3 dimensions, and nonsingular general solutions
 of the Helmholtz and modified Helmholtz operators. On top of the
 catalog sit three construction operators: r^(2m) augmentation,
 higher-order homogeneous solutions of an operator, and the shape
-substitution r -> sqrt(r^2 + c^2).
+substitution r -> sqrt(r^2 + c^2), whose kernels name their own
+families; augmentation and the Laplace chain share one r^(2m) product rule.
 
 Each family is one derivative generator: called on an array of radii,
 it yields phi, phi', phi'', ... in turn, up to the family's top order,
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import special
@@ -49,7 +50,8 @@ class RadialKernel:
     highest radial derivative it yields (4 for families that support
     fourth-order schemes, 2 otherwise). The generator yields the r == 0
     limit where one exists (TPS's phi'' reads -inf there, its limit);
-    singular kernels refuse evaluation at r == 0.
+    singular kernels refuse evaluation at r == 0. A constructed kernel keeps
+    the kernel it was built from as `base`, compared and hashed with it.
     """
 
     family: str
@@ -58,7 +60,7 @@ class RadialKernel:
     c: float = 0.0
     k: float = 0.0
     omega: float = 0.0
-    m: int = 0
+    base: Optional[RadialKernel] = None
     order: int = 0
     label: str = ""
     top_order: int = 2
@@ -95,9 +97,9 @@ class RadialKernel:
 def derivs_upto_many(kernels, r, n: int) -> list:
     """`[kernel.derivs_upto(r, n) for kernel in kernels]`, bit for bit, in one pass.
 
-    The members of one Helmholtz chain (one k) read one Bessel table J_0 ...
-    J_M, M their highest order, whose orders `_bessel_table` computes the
-    same way whatever M is; every other kernel runs its own generator.
+    The "helmholtz_chain" kernels of one k read one Bessel table J_0 ... J_M,
+    M their highest order, whose orders `_bessel_table` computes the same
+    way whatever M is; every other kernel runs its own generator.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
@@ -110,12 +112,12 @@ def derivs_upto_many(kernels, r, n: int) -> list:
             raise UnsupportedError(f"kernel {kern.name} has no order-{n} radial derivative")
         if kern.singular_at_origin and (arr == 0.0).any():
             raise SingularityError(f"kernel {kern.name} is singular at r = 0")
-        if kern.family == "higher_order" and kern.k > 0:  # the Laplace chain has k = 0
+        if kern.family == "helmholtz_chain":
             tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
     tables = {k: _bessel_table(k * arr, m) for k, m in tables.items()}
     out = []
     for kern in kernels:
-        if kern.family == "higher_order" and kern.k in tables:
+        if kern.family == "helmholtz_chain":
             gen = _chain_derivs(kern.k, kern.order, arr, tables[kern.k])
         else:
             gen = kern.radial(arr)
@@ -454,9 +456,8 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
     c takes the MQ shape parameter's range.
     """
     c = check_parameter("mq", "c", c)
-    label = f"{kernel.name}+shift(c={c:g})"
     if c == 0.0:
-        return replace(kernel, family="substituted", label=label)
+        return kernel
 
     top = 4 if kernel.top_order >= 4 else 2
     mq = _mq(c)
@@ -483,39 +484,44 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
             + b1 * s4
         )
 
-    return _composite(
-        "substituted", radial, c=c, k=kernel.k, omega=kernel.omega, label=label, top_order=top
-    )
+    label = f"{kernel.name}+shift(c={c:g})"
+    return _composite("substituted", radial, c=c, base=kernel, label=label, top_order=top)
 
 
 def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
-    """Multiply a kernel by r^(2m) to tame its origin behavior."""
+    """Multiply a kernel by r^(2m) to tame its origin behavior; m = 0 is the identity."""
     if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0):
         raise ParameterError(f"augmentation order m must be a nonnegative integer, got {m!r}")
-    label = f"r^{2 * m} * {base.name}"
     if m == 0:
-        return replace(base, family="augmented", m=0, label=label)
+        return base
+    return _composite(
+        "augmented", _times_r2m(base.radial, m), base=base, label=f"r^{2 * m} * {base.name}"
+    )
 
+
+def _times_r2m(base: _Radial, m: int) -> _Radial:
+    """phi, phi', phi'' of r^(2m) times the profile `base` generates (m >= 1), by the
+    product rule, `base` read at positive radii only. At r = 0 they are the limits 0, 0
+    and 2 base(0) (m = 1) or 0 (m >= 2), where base(0) may be a pole's infinity."""
     p = 2 * m
 
     def radial(r):
         nz = r > 0.0
         q = r[nz]
-        b = base.radial(q)
+        b = base(q)
         b0 = next(b)
         yield _piecewise(nz, q**p * b0, 0.0)
         b1 = next(b)
         yield _piecewise(nz, p * q ** (p - 1) * b0 + q**p * b1, 0.0)
-        # no finite limit for m = 1 over log-type bases; 0 is a convention
+        with np.errstate(all="ignore"):  # a log or 1/r pole warns at r = 0
+            at0 = 2.0 * next(base(np.zeros(1)))[0] if m == 1 and not nz.all() else 0.0
         yield _piecewise(
             nz,
             p * (p - 1) * q ** (p - 2) * b0 + 2.0 * p * q ** (p - 1) * b1 + q**p * next(b),
-            0.0,
+            at0,
         )
 
-    return _composite(
-        "augmented", radial, c=base.c, k=base.k, omega=base.omega, m=m, label=label
-    )
+    return radial
 
 
 #: highest order of the higher-order solution chains
@@ -614,7 +620,7 @@ def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
         yield from _chain_derivs(k, m, r, _bessel_table(k * r, m))
 
     return RadialKernel(
-        "higher_order", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"
+        "helmholtz_chain", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"
     )
 
 
@@ -627,21 +633,14 @@ def _laplace_chain_coeffs(m: int) -> tuple[float, float]:
 
 def _laplace_chain_kernel(m: int) -> RadialKernel:
     A, B = _laplace_chain_coeffs(m)
-    p = 2 * m
 
-    def radial(r):
-        nz = r > 0.0
-        q = r[nz]
-        log = np.log(q)
-        yield _piecewise(nz, q**p * (A * log + B), 0.0)
-        yield _piecewise(nz, q ** (p - 1) * (p * A * log + A + p * B), 0.0)
-        yield _piecewise(
-            nz,
-            q ** (p - 2) * (p * (p - 1) * A * log + (2 * p - 1) * A + p * (p - 1) * B),
-            0.0,
-        )
+    def log_affine(r):  # A ln r + B, whose pole at r = 0 is +inf (A < 0)
+        yield A * np.log(r) + B
+        yield A / r
+        yield -A / (r * r)
 
-    return RadialKernel("higher_order", False, radial, order=m, label=f"laplace_fs_2d^({m})")
+    radial = _times_r2m(log_affine, m)
+    return RadialKernel("laplace_chain", False, radial, order=m, label=f"laplace_fs_2d^({m})")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .operators import OperatorSpec, helmholtz, laplace
 _FD_H = 5e-3
 
 CONSISTENCY_TOL = 1e-8
+CONSISTENCY_PROBES = 100
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,18 @@ def _fd_operator_image(op: OperatorSpec, fn: Callable, pts: np.ndarray) -> np.nd
     return out
 
 
-def consistency_residual(problem: BenchmarkProblem, n_probes: int = 100) -> float:
+def consistency_residual(problem: BenchmarkProblem) -> float:
     """Max |L{exact} - f| over seeded random probes inside the domain."""
     if problem.kind != "pde":
         return 0.0
     rng = np.random.default_rng(20231118)
     (xlo, xhi), (ylo, yhi) = problem.domain.bounding_box
     probes = []
-    while len(probes) < n_probes:
-        cand = rng.uniform((xlo, ylo), (xhi, yhi), size=(4 * n_probes, 2))
+    while len(probes) < CONSISTENCY_PROBES:
+        cand = rng.uniform((xlo, ylo), (xhi, yhi), size=(4 * CONSISTENCY_PROBES, 2))
         cand = cand[distance_to_boundary(problem.domain, cand) > 0.05]
         probes.extend(cand.tolist())
-    pts = np.array(probes[:n_probes])
+    pts = np.array(probes[:CONSISTENCY_PROBES])
     image = _fd_operator_image(problem.operator, problem.exact, pts)
     return float(np.max(np.abs(image - problem.f(pts))))
 

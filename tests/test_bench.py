@@ -152,6 +152,16 @@ def test_single_combo_yields_header_plus_one_row():
     assert len(lines) == 2
 
 
+def test_bpm_runs_once_per_problem_whatever_the_kernels():
+    # BPM reads its own kernel chain, not the configured kernels
+    kernels = [{"family": "mq"}, {"family": "gaussian"}, {"family": "imq"}]
+    config = {"problems": ["helmholtz_disk_inhom"], "methods": ["bpm"], "kernels": kernels,
+              "n_boundary": [16, 32], "n_interior": 10}
+    report = run_benchmark(config)
+    assert report.exit_code == 0
+    assert [(r.method, r.n_boundary) for r in report.rows] == [("bpm", 16), ("bpm", 32)]
+
+
 @pytest.mark.parametrize(
     "kernel, cell",
     [

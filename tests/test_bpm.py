@@ -210,6 +210,17 @@ def test_neumann_rows_read_the_source_chains_gradient():
     assert order_one_defect((zero_grad,)) > 1e-10
 
 
+def test_bpm_factors_the_bkm_boundary_matrix():
+    # one owner of the factor of the boundary trace matrix for both methods
+    assert bpm.assemble_Q is bkm.assemble_Q
+
+
+def test_missing_source_chain_rejected():
+    p, _, bc = benchmark_setup()
+    with pytest.raises(ConfigError, match="source-term chain"):
+        bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=None, order=1, f_grad_chain=p.f_grad_chain)
+
+
 def test_insufficient_chain_rejected():
     p, nodes, bc = benchmark_setup()
     given = dict(operator=p.operator, bc=bc, order=3, f_grad_chain=p.f_grad_chain)

@@ -10,12 +10,18 @@ import pytest
 from scipy import special
 
 from conftest import central_d1, radial_fd_laplacian
-from rbfbench.errors import ParameterError, SingularityError, UnsupportedError
+from rbfbench.errors import (
+    KernelSmoothnessError,
+    ParameterError,
+    SingularityError,
+    UnsupportedError,
+)
 from rbfbench.kernels import (
     _FAMILIES,
     _SERIES_CUTOVER,
     CATALOG,
     MAX_CHAIN_ORDER,
+    RadialKernel,
     _bessel_table,
     augment_r2m,
     build_kernel,
@@ -26,7 +32,13 @@ from rbfbench.kernels import (
     probe_singular_at_origin,
     shape_substitute,
 )
-from rbfbench.operators import helmholtz, laplace, ll_star_matrix
+from rbfbench.operators import (
+    collocation_matrix,
+    helmholtz,
+    laplace,
+    ll_star_matrix,
+    operator_image_matrix,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src" / "rbfbench"
@@ -292,6 +304,7 @@ def test_substitute_laplace_3d_is_scaled_imq():
 def test_substitute_zero_shift_is_identity():
     base = _kernel("gaussian")
     sub = shape_substitute(base, 0.0)
+    assert sub is base
     rs = np.linspace(0.05, 3.0, 20)
     assert np.array_equal(sub.phi(rs), base.phi(rs))
 
@@ -351,6 +364,7 @@ def test_augmented_laplace_2d_is_scaled_tps():
 def test_augment_zero_order_is_identity():
     base = _kernel("laplace_fs_3d")
     aug = augment_r2m(base, 0)
+    assert aug is base
     rs = np.linspace(0.1, 3.0, 17)
     assert np.array_equal(aug.phi(rs), base.phi(rs))
 
@@ -366,6 +380,41 @@ def test_augmented_derivative_consistency():
     for r in (0.2, 0.8, 2.0):
         assert aug.d1(r) == pytest.approx(central_d1(aug.phi, r, h=1e-6), rel=1e-5)
         assert aug.d2(r) == pytest.approx(central_d1(aug.d1, r, h=1e-6), rel=1e-5)
+
+
+def test_augmented_kernel_reads_its_limits_at_the_origin():
+    # r^2 sqrt(r^2 + 1): phi''(0) = 2 phi_mq(0) = 2, so the coincident Laplacian limit
+    # 2 phi''(0) is 4; r^4 sqrt(r^2 + 1) vanishes to fourth order
+    aug = augment_r2m(_kernel("mq"), 1)
+    assert aug.derivs_upto(0.0, 2) == (0.0, 0.0, 2.0)
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+    image = operator_image_matrix(laplace(), aug, X, X)
+    assert image[0, 0] == image[1, 1] == 4.0
+    assert augment_r2m(_kernel("mq"), 2).derivs_upto(0.0, 2) == (0.0, 0.0, 0.0)
+
+
+def test_laplace_chain_reads_its_limits_at_the_origin():
+    # u_1 = r^2 (A ln r + B) with A < 0: phi''(0) = 2 (A ln 0 + B) = +inf, which a block
+    # reading second derivatives at coincident points refuses; m >= 2 vanish there
+    first = higher_order_solution(laplace(), 1)
+    assert first.derivs_upto(0.0, 2) == (0.0, 0.0, math.inf)
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+    normals = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(KernelSmoothnessError):
+        collocation_matrix(None, first, [("normal", X, normals)], [("normal", X, normals)])
+    for m in range(2, MAX_CHAIN_ORDER + 1):
+        assert higher_order_solution(laplace(), m).derivs_upto(0.0, 2) == (0.0, 0.0, 0.0)
+
+
+def test_composite_kernels_compare_by_their_base():
+    # two shifts of different MQs share family, shift and label; their bases differ,
+    # and so must they (a block's coincident-point check caches by kernel)
+    a = shape_substitute(build_kernel("mq", c=1.0), 0.5)
+    b = shape_substitute(build_kernel("mq", c=2.0), 0.5)
+    assert a.name == b.name
+    assert a != b and hash(a) != hash(b)
+    assert a == shape_substitute(build_kernel("mq", c=1.0), 0.5)
+    assert augment_r2m(build_kernel("mq", c=1.0), 1) != augment_r2m(build_kernel("mq", c=2.0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +631,22 @@ def test_derivs_upto_many_matches_each_generator_bitwise():
             assert len(many) == n + 1
             assert all(np.array_equal(a, b) for a, b in zip(many, own)), kern.name
     assert derivs_upto_many(kernels, 0.0, 2) == [kern.derivs_upto(0.0, 2) for kern in kernels]
+
+
+def test_only_helmholtz_chain_kernels_share_the_bessel_table():
+    # a kernel of another family with a wavenumber and an order (as an I_m chain
+    # would be) runs its own generator, even beside a J_m chain of the same k
+    def own(r):
+        yield np.full(r.shape, 1.0)
+        yield np.full(r.shape, 2.0)
+        yield np.full(r.shape, 3.0)
+
+    other = RadialKernel("higher_order", False, own, k=2.0, order=1)
+    chain = higher_order_solution(helmholtz(2.0), 1)
+    r = np.array([0.0, 0.5, 1.0])
+    got, ref = derivs_upto_many([other, chain], r, 2)
+    assert [a.tolist() for a in got] == [[1.0] * 3, [2.0] * 3, [3.0] * 3]
+    assert all(np.array_equal(a, b) for a, b in zip(ref, chain.derivs_upto(r, 2)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
