@@ -215,17 +215,13 @@ def test_bpm_factors_the_bkm_boundary_matrix():
     assert bpm.assemble_Q is bkm.assemble_Q
 
 
-def test_missing_source_chain_rejected():
-    p, _, bc = benchmark_setup()
-    with pytest.raises(ConfigError, match="source-term chain"):
-        bpm.MrmProblem(operator=p.operator, bc=bc, f_chain=None, order=1, f_grad_chain=p.f_grad_chain)
-
-
 def test_insufficient_chain_rejected():
     p, nodes, bc = benchmark_setup()
     given = dict(operator=p.operator, bc=bc, order=3, f_grad_chain=p.f_grad_chain)
     with pytest.raises(ConfigError):
         bpm.MrmProblem(f_chain=p.f_chain[:2], **given)
+    with pytest.raises(ConfigError, match="source-term chain"):  # not a TypeError
+        bpm.MrmProblem(f_chain=None, **given)
     prob = bpm.MrmProblem(f_chain=p.f_chain, **given)
     with pytest.raises(ConfigError):
         bpm.solve_bpm(nodes, prob, chain_for(p.operator, 2))
