@@ -13,6 +13,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +44,10 @@ METHOD_NAMES = ("bkm", "bkm_direct", "bpm", "mkm", "kansa", "lsq")
 
 PROBE_GRID_SIZE = 21
 
+#: entries of the largest dense matrix a config may imply (128 MiB of float64):
+#: MKM's (ni + 2 nb)^2 system or LSQ's (2 ni + 2 nb) x (ni + nb) one
+MAX_DENSE_ENTRIES = 2**24
+
 
 @dataclass
 class ErrorMetrics:
@@ -53,13 +58,24 @@ class ErrorMetrics:
 
 
 def probe_grid(domain: DomainSpec) -> np.ndarray:
-    """Tensor grid over the bounding box, clipped strictly inside the domain."""
+    """Tensor grid over the bounding box, clipped strictly inside the domain
+    (computed once per domain and process, read-only)."""
+    return _probe_set(domain)[0]
+
+
+@lru_cache(maxsize=16)  # a pure function of the frozen domain; every row on it reads it
+def _probe_set(domain: DomainSpec) -> tuple:
+    """The probe grid and its boundary-band mask, both read-only."""
     (xlo, xhi), (ylo, yhi) = domain.bounding_box
     xs = np.linspace(xlo, xhi, PROBE_GRID_SIZE)
     ys = np.linspace(ylo, yhi, PROBE_GRID_SIZE)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts[distance_to_boundary(domain, pts) > 1e-9]
+    pts = pts[distance_to_boundary(domain, pts) > 1e-9]
+    band = boundary_band_mask(domain, pts)
+    pts.setflags(write=False)
+    band.setflags(write=False)
+    return pts, band
 
 
 def compute_errors(
@@ -151,12 +167,15 @@ class BenchConfig:
         timing = raw.get("timing", False)
         if not isinstance(timing, bool):
             raise ConfigError(f"timing must be true or false, got {timing!r}")
+        nb = [_count("n_boundary", n, 4) for n in nb]
+        ni = _count("n_interior", raw.get("n_interior", 60), 0)
+        _check_size(nb, ni)
         return BenchConfig(
             problems=problems,
             methods=methods,
             kernels=[_kernel_spec(spec) for spec in kernels],
-            n_boundary=[_count("n_boundary", n, 4) for n in nb],
-            n_interior=_count("n_interior", raw.get("n_interior", 60), 0),
+            n_boundary=nb,
+            n_interior=ni,
             seed=_count("seed", raw.get("seed", 7), 0),
             bpm_order=_count("bpm_order", raw.get("bpm_order", 3), 1, MAX_CHAIN_ORDER),
             timing=timing,
@@ -187,6 +206,17 @@ def _count(key: str, value, least: int, most: Optional[int] = None) -> int:
     if most is not None and n > most:
         raise ConfigError(f"{key} must be at most {most}, got {n}")
     return n
+
+
+def _check_size(n_boundary: list, n_interior: int):
+    """A ConfigError when the counts imply a dense matrix over MAX_DENSE_ENTRIES."""
+    nb = max(n_boundary)
+    entries = max((n_interior + 2 * nb) ** 2, 2 * (n_interior + nb) ** 2)
+    if entries > MAX_DENSE_ENTRIES:
+        raise ConfigError(
+            f"n_boundary {nb} with n_interior {n_interior} implies a dense matrix of "
+            f"{entries} entries, over MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES}"
+        )
 
 
 def _list(key: str, value) -> list:
@@ -327,8 +357,7 @@ def _single_run(
         want = np.concatenate([exact.neumann_values, exact.dirichlet_values])
         metrics = compute_errors(lambda _: got, lambda _: want, nodes.boundary)
     else:
-        probes = probe_grid(problem.domain)
-        band = boundary_band_mask(problem.domain, probes)
+        probes, band = _probe_set(problem.domain)
         metrics = compute_errors(solution.evaluate, problem.exact, probes, band)
 
     op = problem.operator
@@ -354,9 +383,10 @@ def _single_run(
 def _sweep(config, counts=None):
     """Run every configured combination over the boundary-node counts.
 
-    Coerces `config` (a BenchConfig, a dict or a JSON path), resolves
-    every problem name and fills in each problem's wavenumber in the
-    kernel specs that need one, all before the first solve; then yields one
+    Coerces `config` (a BenchConfig, a dict or a JSON path), checks the
+    counts against MAX_DENSE_ENTRIES, resolves every problem name, checks
+    its consistency and fills in each problem's wavenumber in the kernel
+    specs that need one, all before the first solve; then yields one
     (label, rows, errors) per problem/method/kernel combination, running
     `counts` (default: the config's n_boundary list) in order. BPM reads no
     kernel spec: a run solves it once per problem, a ladder study (`counts`
@@ -370,6 +400,7 @@ def _sweep(config, counts=None):
         cfg = BenchConfig.from_dict(config)
     else:
         cfg = BenchConfig.load(config)
+    _check_size(counts or cfg.n_boundary, cfg.n_interior)
     problems = [get_problem(name) for name in cfg.problems]
     specs = []
     for problem in problems:

@@ -10,6 +10,7 @@ the exact solution must reproduce the source term at random probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,6 +70,7 @@ def _fd_operator_image(op: OperatorSpec, fn: Callable, pts: np.ndarray) -> np.nd
     return out
 
 
+@lru_cache(maxsize=64)  # the problem is frozen and hashes by its fields, callables by identity
 def consistency_residual(problem: BenchmarkProblem) -> float:
     """Max |L{exact} - f| over seeded random probes inside the domain."""
     if problem.kind != "pde":
@@ -233,6 +235,7 @@ _FACTORIES = {
 PROBLEM_NAMES = tuple(_FACTORIES)
 
 
+@lru_cache(maxsize=len(_FACTORIES))  # one instance per name, so memos keyed by it hit
 def get_problem(name: str) -> BenchmarkProblem:
     try:
         factory = _FACTORIES[name]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 from rbfbench import lsq
 from rbfbench.bench import (
     CSV_HEADER,
+    MAX_DENSE_ENTRIES,
     BenchConfig,
     compute_errors,
     convergence_study,
@@ -44,6 +46,18 @@ def test_probe_grid_strictly_inside():
     probes = probe_grid(DISK)
     assert len(probes) > 200
     assert np.all(distance_to_boundary(DISK, probes) > 0)
+
+
+def test_probe_grid_and_band_are_memoized_and_read_only():
+    from rbfbench.bench import _probe_set
+
+    for domain in (DISK, DomainSpec("rectangle", 1.0, 1.0)):
+        probes, band = _probe_set(domain)
+        assert probe_grid(domain) is probes
+        assert np.array_equal(band, boundary_band_mask(domain, probes))
+        for array in (probes, band):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_compute_errors_exact_evaluator():
@@ -94,6 +108,18 @@ def test_manufactured_problems_are_consistent():
         problem = get_problem(name)
         check_consistency(problem)
         assert consistency_residual(problem) < 1e-8
+
+
+def test_a_replaced_problem_is_checked_on_its_own_value():
+    # the consistency memo is keyed by the problem's value, not its name
+    problem = get_problem("poisson_square_inhom")
+    check_consistency(problem)
+    assert get_problem("poisson_square_inhom") is problem
+    wrong = dataclasses.replace(problem, f=lambda p: 3.0 * p[:, 1])
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="poisson_square_inhom.*inconsistent"):
+            check_consistency(wrong)
+    check_consistency(problem)
 
 
 CHAIN_PROBLEMS = [name for name in PROBLEM_NAMES if get_problem(name).f_chain is not None]
@@ -350,6 +376,42 @@ def test_non_integer_counts_rejected(key, bad):
         BenchConfig.from_dict({**SMALL, key: bad})
 
 
+def test_size_budget_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="MAX_DENSE_ENTRIES"):
+            BenchConfig.from_dict({**SMALL, "n_interior": 10**5})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_size_budget_is_the_largest_dense_matrix():
+    # boundary nodes only: MKM's (2 nb)^2 system is the largest
+    BenchConfig.from_dict({**SMALL, "n_boundary": [16, 2048], "n_interior": 0})
+    with pytest.raises(ConfigError, match="n_boundary 2049 with n_interior 0"):
+        BenchConfig.from_dict({**SMALL, "n_boundary": [16, 2049], "n_interior": 0})
+    # interior-heavy: LSQ's (2 ni + 2 nb) x (ni + nb) system is
+    assert 2 * (2892 + 4) ** 2 <= MAX_DENSE_ENTRIES < 2 * (2893 + 4) ** 2
+    BenchConfig.from_dict({**SMALL, "n_boundary": 4, "n_interior": 2892})
+    with pytest.raises(ConfigError, match="MAX_DENSE_ENTRIES"):
+        BenchConfig.from_dict({**SMALL, "n_boundary": 4, "n_interior": 2893})
+    # a ladder is held to the same budget before its first solve
+    with pytest.raises(ConfigError, match="n_boundary 2049"):
+        convergence_study(SMALL, [16, 32, 2049])
+
+
+def test_size_budget_admits_every_benchmark_case(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    for w in workloads.WORKLOADS:
+        for case in workloads.cases(w):
+            BenchConfig.from_dict(case)
+    BenchConfig.load(REPO / "configs" / "default.json")
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [
@@ -500,6 +562,16 @@ def test_small_config_deterministic():
     a = run_benchmark(SMALL).to_csv()
     b = run_benchmark(SMALL).to_csv()
     assert a == b
+
+
+def test_default_suite_twice_in_one_process_is_byte_identical(tmp_path):
+    # the second run reads every per-process memo the first one filled
+    config = REPO / "configs" / "default.json"
+    run_benchmark(str(config), tmp_path / "a.csv")
+    run_benchmark(str(config), tmp_path / "b.csv")
+    first = (tmp_path / "a.csv").read_bytes()
+    assert first == (tmp_path / "b.csv").read_bytes()
+    assert first == (REPO / "tests" / "fixtures" / "default_suite.csv").read_bytes()
 
 
 def test_solver_failure_sets_exit_code():

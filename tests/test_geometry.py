@@ -37,6 +37,25 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.normals, b.normals)
 
 
+def test_node_sets_are_memoized_read_only_and_equal_to_a_fresh_build():
+    square = DomainSpec("rectangle", 1.0, 1.0)
+    for domain in (DISK, square):
+        nodes = generate_nodes(domain, 24, 40, 11)
+        assert generate_nodes(domain, 24, 40, 11) is nodes
+        fresh = generate_nodes.__wrapped__(domain, 24, 40, 11)
+        partitioned = partition_boundary(nodes, [(0.0, 0.5)])
+        for name in ("interior", "boundary", "normals", "boundary_params",
+                     "dirichlet_idx", "neumann_idx"):
+            array = getattr(nodes, name)
+            assert np.array_equal(array, getattr(fresh, name)), name
+            assert array.dtype == getattr(fresh, name).dtype, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # a partition shares the memoized coordinates, still read-only
+        with pytest.raises(ValueError, match="read-only"):
+            partitioned.boundary[0, 0] = 2.0
+
+
 def test_different_seed_changes_interior():
     a = generate_nodes(DISK, 16, 30, seed=1)
     b = generate_nodes(DISK, 16, 30, seed=2)
