@@ -22,7 +22,6 @@ from . import bkm, bpm, lsq, mkm
 from .errors import ConfigError, ParameterError, RbfError
 from .geometry import (
     DomainSpec,
-    NodeSet,
     boundary_band_mask,
     distance_to_boundary,
     generate_nodes,
@@ -31,7 +30,6 @@ from .geometry import (
 from .kernels import (
     FAMILY_PARAMETERS,
     MAX_CHAIN_ORDER,
-    RadialKernel,
     build_kernel,
     check_parameters,
     default_shape_parameter,
@@ -245,45 +243,52 @@ def _kernel_spec(spec) -> tuple:
     return family, params
 
 
-def _with_wavenumber(spec: tuple, op: Optional[OperatorSpec]) -> tuple:
-    """The spec with the operator's wavenumber where the family takes one the
-    spec does not give; a ConfigError when the operator has none."""
+def _with_defaults(spec: tuple, op: Optional[OperatorSpec]) -> tuple:
+    """The spec with each default that does not read the nodes, where the family
+    takes the parameter and the spec gives none: omega = 1, and k = the
+    operator's wavenumber (a ConfigError when the operator has none)."""
     family, params = spec
-    if "k" in FAMILY_PARAMETERS[family] and "k" not in params:
+    takes = FAMILY_PARAMETERS[family]
+    if "k" in takes and "k" not in params:
         if op is None or op.k <= 0:
             raise ConfigError(f"kernel {family!r} needs a wavenumber k")
         params = {**params, "k": op.k}
+    if "omega" in takes:
+        params = {"omega": 1.0, **params}
     return family, params
 
 
-def _resolve_kernel(spec: tuple, nodes: NodeSet) -> RadialKernel:
-    """The kernel of a spec, with the node-dependent defaults of c and omega."""
-    family, params = spec
-    takes = FAMILY_PARAMETERS[family]
-    defaults = {}
-    if "c" in takes and "c" not in params:
-        defaults["c"] = default_shape_parameter(nodes.all_points())
-    if "omega" in takes and "omega" not in params:
-        defaults["omega"] = 1.0
-    return build_kernel(family, **params, **defaults)
+@lru_cache(maxsize=64)  # keyed by the frozen problem value; every row on these nodes reads it
+def _row_inputs(problem: BenchmarkProblem, n_boundary: int, n_interior: int, seed: int) -> tuple:
+    """The problem's partitioned node set, its exact boundary data and the
+    default shape parameter of its points, all read-only."""
+    nodes = generate_nodes(problem.domain, n_boundary, n_interior, seed)
+    nodes = partition_boundary(nodes, problem.bc_rule)
+    bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
+    for array in (nodes.dirichlet_idx, nodes.neumann_idx, *vars(bc).values()):
+        array.setflags(write=False)
+    return nodes, bc, default_shape_parameter(nodes.all_points())
 
 
 def _solve(
     problem: BenchmarkProblem,
     method: str,
     spec: tuple,
-    nodes: NodeSet,
-    bc: bkm.BoundaryData,
+    inputs: tuple,
+    field_set: Optional[tuple],
     cfg: BenchConfig,
 ) -> tuple:
-    """(kernel, solution) of one run: an Expansion, or RecoveredTraces for bkm_direct."""
+    """(kernel, solution) of one run on the row's `_row_inputs` (and LSQ's
+    field set): an Expansion, or RecoveredTraces for bkm_direct."""
+    nodes, bc, c = inputs
     op = problem.operator
     if method == "bpm":
         chain = [higher_order_solution(op, m) for m in range(cfg.bpm_order + 1)]
         mrm = bpm.MrmProblem(op, bc, problem.f_chain, cfg.bpm_order, problem.f_grad_chain)
         return chain[0], bpm.solve_bpm(nodes, mrm, chain)
 
-    phi = _resolve_kernel(spec, nodes)
+    family, params = spec
+    phi = build_kernel(family, **({"c": c} if "c" in FAMILY_PARAMETERS[family] else {}) | params)
     src = nodes.all_points()
     fs = problem.f_samples(src)
     if method == "bkm":
@@ -294,12 +299,7 @@ def _solve(
         return phi, mkm.solve_mkm(mkm.assemble_mkm(nodes, op, bc, fs, phi))
     if method == "kansa":
         return phi, mkm.solve_kansa_baseline(nodes, op, bc, fs, phi)
-    # lsq: collocate on a second, denser node set
-    field_nodes = partition_boundary(
-        generate_nodes(problem.domain, 2 * nodes.n_boundary, 2 * nodes.n_interior, cfg.seed + 1),
-        problem.bc_rule,
-    )
-    field_bc = bkm.BoundaryData.from_callables(field_nodes, problem.exact, problem.exact_grad)
+    field_nodes, field_bc, _ = field_set
     system = lsq.assemble_overdetermined(src, field_nodes, op, field_bc, problem.f, phi)
     result = lsq.solve_least_squares(system, method="orthogonal")
     return phi, Expansion([Term(op, phi, [("value", src)], result.beta)], result.cond_est)
@@ -339,14 +339,14 @@ def _single_run(
     n_boundary: int,
     cfg: BenchConfig,
 ) -> ResultRow:
-    nodes = partition_boundary(
-        generate_nodes(problem.domain, n_boundary, cfg.n_interior, cfg.seed),
-        problem.bc_rule,
-    )
-    bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
+    inputs = _row_inputs(problem, n_boundary, cfg.n_interior, cfg.seed)
+    nodes = inputs[0]
+    # lsq collocates on a second, denser node set
+    denser = (2 * n_boundary, 2 * cfg.n_interior, cfg.seed + 1)
+    field_set = _row_inputs(problem, *denser) if method == "lsq" else None
 
     start = time.perf_counter() if cfg.timing else None
-    kernel, solution = _solve(problem, method, spec, nodes, bc, cfg)
+    kernel, solution = _solve(problem, method, spec, inputs, field_set, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
 
     if isinstance(solution, bkm.RecoveredTraces):
@@ -385,8 +385,8 @@ def _sweep(config, counts=None):
 
     Coerces `config` (a BenchConfig, a dict or a JSON path), checks the
     counts against MAX_DENSE_ENTRIES, resolves every problem name, checks
-    its consistency and fills in each problem's wavenumber in the kernel
-    specs that need one, all before the first solve; then yields one
+    its consistency and fills in each problem's node-free kernel defaults
+    (`_with_defaults`), all before the first solve; then yields one
     (label, rows, errors) per problem/method/kernel combination, running
     `counts` (default: the config's n_boundary list) in order. BPM reads no
     kernel spec: a run solves it once per problem, a ladder study (`counts`
@@ -405,9 +405,9 @@ def _sweep(config, counts=None):
     specs = []
     for problem in problems:
         check_consistency(problem)
-        # every method but bpm (which uses its own kernel chain) resolves the kernels
+        # every method but bpm (which uses its own kernel chain) builds the kernels
         if any(m in problem.methods for m in cfg.methods if m != "bpm"):
-            specs.append([_with_wavenumber(spec, problem.operator) for spec in cfg.kernels])
+            specs.append([_with_defaults(spec, problem.operator) for spec in cfg.kernels])
         else:
             specs.append(cfg.kernels)
 

@@ -19,9 +19,11 @@ from rbfbench.bench import (
 )
 from rbfbench.errors import ConfigError, ParameterError
 from rbfbench.geometry import DomainSpec, boundary_band_mask, distance_to_boundary
-from rbfbench.kernels import build_kernel
+from rbfbench.kernels import build_kernel, default_shape_parameter
+from rbfbench.operators import convection_diffusion
 from rbfbench.problems import (
     CONSISTENCY_TOL,
+    BenchmarkProblem,
     _fd_operator_image,
     check_consistency,
     consistency_residual,
@@ -58,6 +60,59 @@ def test_probe_grid_and_band_are_memoized_and_read_only():
         for array in (probes, band):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def test_row_inputs_are_memoized_and_read_only():
+    from rbfbench.bench import _row_inputs
+
+    problem = get_problem("helmholtz_disk")  # mixed boundary: both value arrays are filled
+    nodes, bc, c = _row_inputs(problem, 16, 10, 7)
+    assert _row_inputs(problem, 16, 10, 7)[0] is nodes
+    assert c == default_shape_parameter(nodes.all_points())
+    arrays = [getattr(nodes, f.name) for f in dataclasses.fields(nodes)[1:]]
+    for array in arrays + [bc.dirichlet_values, bc.neumann_values]:
+        assert len(array)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_replaced_problem_gets_its_own_partition():
+    # the row-input memo is keyed by the problem's value, not its name
+    from rbfbench.bench import _row_inputs
+
+    assert run_benchmark({**SMALL, "n_interior": 10}).exit_code == 0
+    problem = get_problem("helmholtz_disk")
+    assert len(_row_inputs(problem, 16, 10, 7)[0].neumann_idx) == 8
+    dirichlet = dataclasses.replace(problem, bc_rule=((0.0, 1.0),))
+    nodes, bc, _ = _row_inputs(dirichlet, 16, 10, 7)
+    assert np.array_equal(nodes.dirichlet_idx, np.arange(16))
+    assert len(nodes.neumann_idx) == len(bc.neumann_values) == 0
+    assert np.array_equal(bc.dirichlet_values, problem.exact(nodes.boundary))
+
+
+def test_node_set_up_has_one_owner():
+    # a row's nodes, partition and default c are built only in _row_inputs
+    import ast
+
+    tree = ast.parse((REPO / "src" / "rbfbench" / "bench.py").read_text())
+    owned = {"generate_nodes", "partition_boundary", "default_shape_parameter"}
+    sites = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in owned:
+                        sites.append((fn.name, name))
+    assert sorted(sites) == sorted(("_row_inputs", name) for name in owned), sites
+
+
+def test_exp_decay_defaults_to_unit_omega():
+    implicit = run_benchmark({**SMALL, "kernels": [{"family": "exp_decay"}]})
+    explicit = run_benchmark({**SMALL, "kernels": [{"family": "exp_decay", "omega": 1.0}]})
+    assert implicit.exit_code == explicit.exit_code == 0
+    assert implicit.to_csv() == explicit.to_csv()
+    assert implicit.to_csv().splitlines()[1].split(",")[6] == ""  # the shape_param cell
 
 
 def test_compute_errors_exact_evaluator():
@@ -120,6 +175,31 @@ def test_a_replaced_problem_is_checked_on_its_own_value():
         with pytest.raises(ConfigError, match="poisson_square_inhom.*inconsistent"):
             check_consistency(wrong)
     check_consistency(problem)
+
+
+def test_consistency_check_reads_the_velocity_terms():
+    # L u = D Lap u - v . grad u with D = 1, v = (2, 1) and u = e^x sin y, so f = -v . grad u
+    def exact(p):
+        return np.exp(p[:, 0]) * np.sin(p[:, 1])
+
+    def f(p):
+        return -np.exp(p[:, 0]) * (2.0 * np.sin(p[:, 1]) + np.cos(p[:, 1]))
+
+    problem = BenchmarkProblem(
+        name="convdiff_square",
+        domain=DomainSpec("rectangle", 1.0, 1.0),
+        operator=convection_diffusion(1.0, (2.0, 1.0)),
+        exact=exact,
+        exact_grad=None,
+        f=f,
+        bc_rule=((0.0, 1.0),),
+        methods=frozenset({"kansa"}),
+    )
+    check_consistency(problem)
+    assert consistency_residual(problem) < 1e-9
+    flipped = dataclasses.replace(problem, f=lambda p: -f(p))
+    with pytest.raises(ConfigError, match="convdiff_square.*inconsistent"):
+        check_consistency(flipped)
 
 
 CHAIN_PROBLEMS = [name for name in PROBLEM_NAMES if get_problem(name).f_chain is not None]
@@ -438,6 +518,18 @@ def test_config_lists_rejected(key, bad):
         BenchConfig.from_dict({**SMALL, key: bad})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]\n", "must be a JSON object, got list"), ('{"seed": 7,}\n', "is not valid JSON")],
+    ids=["not-an-object", "invalid-json"],
+)
+def test_config_file_must_be_a_json_object(tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        BenchConfig.load(path)
+
+
 _KNOWN_KEYS = (
     "problems", "methods", "kernels", "n_boundary", "n_interior", "seed", "bpm_order", "timing"
 )
@@ -705,3 +797,23 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg.write_text('{"kernels": [{"family": "mqq"}]}\n')
     out = tmp_path / "x.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every fenced `rbfbench ...` line of README.md, run in-process from the repo root
+    import re
+    import shlex
+
+    from rbfbench.cli import main
+
+    blocks = re.findall(r"^```\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    commands = [line for b in blocks for line in b.splitlines() if line.startswith("rbfbench ")]
+    assert {shlex.split(c)[1] for c in commands} == {"run", "converge", "kernels"}
+    monkeypatch.chdir(REPO)
+    for command in commands:
+        args = shlex.split(command)[1:]
+        if "--out" in args:
+            at = args.index("--out") + 1
+            args[at] = str(tmp_path / args[at])
+        assert main(args) == 0, command
+    assert "wrote" in capsys.readouterr().out

@@ -160,6 +160,19 @@ def test_out_of_range_interval_rejected():
         partition_boundary(nodes, [(0.5, 1.2)])
 
 
+def test_node_set_refuses_a_bad_partition_or_normals():
+    import dataclasses
+
+    nodes = generate_nodes(DISK, 8, 0, seed=0)
+    for change, error, message in (
+        (dict(dirichlet_idx=np.arange(7)), PartitionError, "does not cover"),
+        (dict(dirichlet_idx=np.arange(7), neumann_idx=np.array([0])), PartitionError, "overlap"),
+        (dict(normals=2.0 * nodes.normals), GeometryError, "not unit length"),
+    ):
+        with pytest.raises(error, match=message):
+            dataclasses.replace(nodes, **change)
+
+
 def test_outward_normal_disk():
     assert np.allclose(outward_normal(DISK, (1.0, 0.0)), (1.0, 0.0))
     assert np.allclose(outward_normal(DISK, (0.0, -1.0)), (0.0, -1.0))

@@ -21,6 +21,8 @@ from rbfbench.kernels import (
     _SERIES_CUTOVER,
     CATALOG,
     MAX_CHAIN_ORDER,
+    REGULATION_CAP,
+    REGULATION_RADII,
     RadialKernel,
     _bessel_table,
     augment_r2m,
@@ -481,6 +483,13 @@ def test_chain_rejects_unsupported():
         higher_order_solution(convection_diffusion(1.0, (1.0, 0.0)), 1)
 
 
+def test_derivs_above_the_top_order_are_refused():
+    for kernel in (build_kernel("mq", c=0.8), build_kernel("tps")):
+        kernel.derivs_upto(0.5, kernel.top_order)
+        with pytest.raises(UnsupportedError, match=f"no order-{kernel.top_order + 1} radial"):
+            kernel.derivs_upto(0.5, kernel.top_order + 1)
+
+
 # ---------------------------------------------------------------------------
 # regulation condition and defaults
 # ---------------------------------------------------------------------------
@@ -505,6 +514,17 @@ def test_regulation_passes(family):
 @pytest.mark.parametrize("family", REGULATION_FAIL)
 def test_regulation_fails(family):
     assert not check_regulation(_kernel(family))
+
+
+def test_regulation_refuses_a_tenfold_step_under_the_cap():
+    # phi' = r^(-1/2) reads 10, 100, 1e3, 1e4 on the radii: under the cap, but each step is 10x
+    def radial(r):
+        yield 2.0 * np.sqrt(r)
+        yield r**-0.5
+
+    kernel = RadialKernel("root", False, radial, top_order=1)
+    assert np.max(kernel.derivs_upto(REGULATION_RADII, 1)[1]) < REGULATION_CAP
+    assert not check_regulation(kernel)
 
 
 def test_default_shape_parameter_rule():

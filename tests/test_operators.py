@@ -55,6 +55,8 @@ def test_operator_parameter_validation():
             mod_helmholtz(bad)
         with pytest.raises(ParameterError):
             convection_diffusion(bad, (0.0, 0.0))
+        with pytest.raises(ParameterError, match="velocity must be finite"):
+            convection_diffusion(1.0, (0.0, bad))
     # a setting the kind does not read is refused, not silently ignored
     for kind, setting in (
         ("laplace_2d", dict(k=5.0)),
