@@ -261,11 +261,12 @@ def _with_defaults(spec: tuple, op: Optional[OperatorSpec]) -> tuple:
 @lru_cache(maxsize=64)  # keyed by the frozen problem value; every row on these nodes reads it
 def _row_inputs(problem: BenchmarkProblem, n_boundary: int, n_interior: int, seed: int) -> tuple:
     """The problem's partitioned node set, its exact boundary data and the
-    default shape parameter of its points, all read-only."""
+    default shape parameter of its points, all read-only: every row on these
+    nodes shares them, the LSQ field set (2 nb, 2 ni, seed + 1) included."""
     nodes = generate_nodes(problem.domain, n_boundary, n_interior, seed)
     nodes = partition_boundary(nodes, problem.bc_rule)
     bc = bkm.BoundaryData.from_callables(nodes, problem.exact, problem.exact_grad)
-    for array in (nodes.dirichlet_idx, nodes.neumann_idx, *vars(bc).values()):
+    for array in (*list(vars(nodes).values())[1:], *vars(bc).values()):  # all but the domain
         array.setflags(write=False)
     return nodes, bc, default_shape_parameter(nodes.all_points())
 

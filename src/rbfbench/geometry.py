@@ -9,7 +9,6 @@ Everything is reproducible bit-for-bit from (domain, counts, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -160,7 +159,6 @@ def boundary_band_mask(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
     return distance_to_boundary(domain, points) <= band
 
 
-@lru_cache(maxsize=64)  # a pure function of frozen arguments; harness rows repeat them
 def generate_nodes(
     domain: DomainSpec, n_boundary: int, n_interior: int, seed: int
 ) -> NodeSet:
@@ -171,9 +169,6 @@ def generate_nodes(
     (where the normal is undefined) are never collocation points.
     Interior points are drawn from a scrambled Halton sequence with the
     given seed and rejected within INTERIOR_MARGIN of the boundary.
-    The node set is computed once per process for each argument tuple,
-    and every call with those arguments returns it, so its arrays are
-    read-only.
     """
     if n_boundary < 4:
         raise PartitionError(f"need at least 4 boundary nodes, got {n_boundary}")
@@ -191,9 +186,6 @@ def generate_nodes(
     boundary, normals = _boundary_point(domain, t)
 
     interior = _halton_interior(domain, n_interior, seed)
-    dirichlet_idx, neumann_idx = np.arange(n_boundary), np.empty(0, dtype=int)
-    for array in (interior, boundary, normals, t, dirichlet_idx, neumann_idx):
-        array.setflags(write=False)
 
     return NodeSet(
         domain=domain,
@@ -201,8 +193,8 @@ def generate_nodes(
         boundary=boundary,
         normals=normals,
         boundary_params=t,
-        dirichlet_idx=dirichlet_idx,
-        neumann_idx=neumann_idx,
+        dirichlet_idx=np.arange(n_boundary),
+        neumann_idx=np.empty(0, dtype=int),
     )
 
 

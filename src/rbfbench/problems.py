@@ -38,7 +38,10 @@ class BenchmarkProblem:
     methods: frozenset
     f_chain: Optional[tuple] = None
     f_grad_chain: Optional[tuple] = None
-    kind: str = "pde"  # "pde" | "fit"
+
+    @property
+    def kind(self) -> str:  # derived from the operator: "fit" when it is None
+        return "fit" if self.operator is None else "pde"
 
     def f_samples(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(points), dtype=float)
@@ -220,7 +223,6 @@ def _step_fit() -> BenchmarkProblem:
         f=target,
         bc_rule=((0.0, 1.0),),
         methods=frozenset({"lsq"}),
-        kind="fit",
     )
 
 

@@ -158,6 +158,12 @@ def test_zero_exact_uses_absolute_norm_with_flag():
     assert m.l2_rel_err == pytest.approx(0.5 * np.sqrt(len(probes)))
 
 
+def test_compute_errors_refuses_an_empty_probe_set():
+    same = lambda p: p[:, 0]
+    with pytest.raises(ValueError, match="probe grid is empty"):
+        compute_errors(same, same, np.empty((0, 2)))
+
+
 def test_manufactured_problems_are_consistent():
     for name in PROBLEM_NAMES:
         problem = get_problem(name)
@@ -175,6 +181,18 @@ def test_a_replaced_problem_is_checked_on_its_own_value():
         with pytest.raises(ConfigError, match="poisson_square_inhom.*inconsistent"):
             check_consistency(wrong)
     check_consistency(problem)
+
+
+def test_problem_kind_is_derived_from_the_operator():
+    # a stored kind could disagree with the operator: "pde" without one failed the
+    # consistency check with an AttributeError, "fit" with one skipped it
+    for name in PROBLEM_NAMES:
+        problem = get_problem(name)
+        assert (problem.kind == "fit") == (problem.operator is None), name
+    assert get_problem("step_fit").kind == "fit"
+    for name, kind in (("step_fit", "pde"), ("poisson_square", "fit")):
+        with pytest.raises(TypeError):
+            dataclasses.replace(get_problem(name), kind=kind)
 
 
 def test_consistency_check_reads_the_velocity_terms():
@@ -308,6 +326,8 @@ def test_unknown_method_rejected():
 def test_unknown_problem_rejected():
     with pytest.raises(ConfigError, match="mystery"):
         run_benchmark({**SMALL, "problems": ["mystery"]})
+    with pytest.raises(ConfigError, match="unknown problem 'nope'; known: helmholtz_disk"):
+        get_problem("nope")
 
 
 def test_unknown_config_key_rejected():
@@ -650,6 +670,12 @@ def test_every_method_is_scored_by_compute_errors(monkeypatch):
     assert len(calls) == len(report.rows)
 
 
+def test_run_benchmark_takes_a_bench_config():
+    report = run_benchmark(BenchConfig.from_dict(SMALL))
+    assert report.exit_code == 0
+    assert report.to_csv() == run_benchmark(SMALL).to_csv()
+
+
 def test_small_config_deterministic():
     a = run_benchmark(SMALL).to_csv()
     b = run_benchmark(SMALL).to_csv()
@@ -779,6 +805,24 @@ def test_cli_run_and_converge(tmp_path, capsys):
     assert "improved" in capsys.readouterr().out
 
 
+def test_cli_reports_a_failed_solve_and_writes_the_other_rows(tmp_path, capsys):
+    # TPS is refused where MKM's points coincide; LSQ's field and source nodes do not meet
+    from rbfbench.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"problems": ["poisson_square"], "methods": ["mkm", "lsq"], '
+        '"kernels": [{"family": "tps"}], "n_boundary": 16, "n_interior": 10}\n'
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: poisson_square/mkm/nb=16: KernelSmoothnessError: ")
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == [["lsq", "tps"]]
+
+
 def test_cli_bad_ladder_is_config_error(tmp_path, capsys):
     from rbfbench.cli import main
 
@@ -817,3 +861,22 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
             args[at] = str(tmp_path / args[at])
         assert main(args) == 0, command
     assert "wrote" in capsys.readouterr().out
+
+
+def test_readme_config_blocks_and_schema_match_bench_config():
+    # every ```json block is a valid config; the schema table lists exactly the
+    # BenchConfig fields, and each stated default gives the config of {}
+    import json
+    import re
+
+    text = (REPO / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        BenchConfig.from_dict(json.loads(block))
+    table = text.split("| key | type | default | range |\n|---|---|---|---|\n")[1].split("\n\n")[0]
+    rows = [re.fullmatch(r"\| `(\w+)` \| [^|]+ \| `([^`]+)` \| [^|]+ \|", line) for line in table.splitlines()]
+    assert all(rows), table
+    assert [m[1] for m in rows] == [f.name for f in dataclasses.fields(BenchConfig)]
+    for key, default in (m.groups() for m in rows):
+        assert BenchConfig.from_dict({key: json.loads(default)}) == BenchConfig.from_dict({}), key

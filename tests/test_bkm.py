@@ -87,6 +87,19 @@ def test_fit_sine_source_small_probe_residual():
     assert np.max(resid) < 1e-2 * np.max(np.abs(f(pts)))
 
 
+def test_fit_refuses_a_source_sample_count_off_the_nodes():
+    nodes = generate_nodes(DISK, 8, 10, seed=1)
+    with pytest.raises(ValueError, match="expected 18 source samples, got 17"):
+        bkm.fit_particular(nodes, np.ones(17), OP, build_kernel("mq", c=0.8))
+
+
+def test_inhomogeneous_solve_needs_a_fitting_kernel():
+    nodes = mixed_nodes(n_interior=10)
+    bc = sample_bc(nodes, get_problem("helmholtz_disk"))
+    with pytest.raises(ValueError, match="needs a fitting kernel phi"):
+        bkm.solve_indirect(nodes, OP, bc, np.ones(26), None, U_SHARP)
+
+
 def test_fit_refuses_hopeless_conditioning():
     nodes = generate_nodes(DISK, 20, 40, seed=5)
     with pytest.raises(ConditioningError) as exc:

@@ -218,6 +218,8 @@ def test_bpm_factors_the_bkm_boundary_matrix():
 def test_insufficient_chain_rejected():
     p, nodes, bc = benchmark_setup()
     given = dict(operator=p.operator, bc=bc, order=3, f_grad_chain=p.f_grad_chain)
+    with pytest.raises(ConfigError, match="truncation order must be >= 1, got 0"):
+        bpm.MrmProblem(**{**given, "order": 0}, f_chain=p.f_chain)
     with pytest.raises(ConfigError):
         bpm.MrmProblem(f_chain=p.f_chain[:2], **given)
     with pytest.raises(ConfigError, match="source-term chain"):  # not a TypeError

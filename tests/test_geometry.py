@@ -37,25 +37,6 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.normals, b.normals)
 
 
-def test_node_sets_are_memoized_read_only_and_equal_to_a_fresh_build():
-    square = DomainSpec("rectangle", 1.0, 1.0)
-    for domain in (DISK, square):
-        nodes = generate_nodes(domain, 24, 40, 11)
-        assert generate_nodes(domain, 24, 40, 11) is nodes
-        fresh = generate_nodes.__wrapped__(domain, 24, 40, 11)
-        partitioned = partition_boundary(nodes, [(0.0, 0.5)])
-        for name in ("interior", "boundary", "normals", "boundary_params",
-                     "dirichlet_idx", "neumann_idx"):
-            array = getattr(nodes, name)
-            assert np.array_equal(array, getattr(fresh, name)), name
-            assert array.dtype == getattr(fresh, name).dtype, name
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-        # a partition shares the memoized coordinates, still read-only
-        with pytest.raises(ValueError, match="read-only"):
-            partitioned.boundary[0, 0] = 2.0
-
-
 def test_different_seed_changes_interior():
     a = generate_nodes(DISK, 16, 30, seed=1)
     b = generate_nodes(DISK, 16, 30, seed=2)
@@ -67,9 +48,19 @@ def test_zero_area_rectangle_rejected():
         DomainSpec("rectangle", 0.0, 1.0)
 
 
+def test_unknown_domain_shape_rejected():
+    with pytest.raises(InvalidDomainError, match="unknown domain shape 'triangle'"):
+        DomainSpec("triangle")
+
+
 def test_too_few_boundary_nodes_rejected():
     with pytest.raises(PartitionError):
         generate_nodes(DISK, 3, 0, seed=0)
+
+
+def test_negative_interior_count_rejected():
+    with pytest.raises(ValueError, match="n_interior must be nonnegative"):
+        generate_nodes(DISK, 8, -1, seed=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -189,6 +180,9 @@ def test_outward_normal_off_boundary_rejected():
         outward_normal(DISK, (0.5, 0.0))
     with pytest.raises(GeometryError):
         outward_normal(DomainSpec("rectangle", 1, 1), (0.5, 0.5))
+    # on the line of the right edge, but above the rectangle
+    with pytest.raises(GeometryError, match="outside the rectangle"):
+        outward_normal(DomainSpec("rectangle", 1, 1), (1.0, 5.0))
 
 
 def test_outward_normal_corner_rejected():
@@ -206,3 +200,8 @@ def test_mean_nn_spacing_on_grid():
     xs = np.linspace(0, 1, 5)
     pts = np.column_stack([np.repeat(xs, 5), np.tile(xs, 5)])
     assert mean_nearest_neighbor_spacing(pts) == pytest.approx(0.25)
+
+
+def test_mean_nn_spacing_needs_two_points():
+    with pytest.raises(ValueError, match="at least two points"):
+        mean_nearest_neighbor_spacing(np.array([[0.5, 0.5]]))

@@ -653,6 +653,12 @@ def test_derivs_upto_many_matches_each_generator_bitwise():
     assert derivs_upto_many(kernels, 0.0, 2) == [kern.derivs_upto(0.0, 2) for kern in kernels]
 
 
+def test_negative_radius_rejected():
+    # MQ is finite at every real r, so only the check refuses r < 0
+    with pytest.raises(ValueError, match="radial distance must be nonnegative"):
+        derivs_upto_many([build_kernel("mq", c=0.7)], np.array([0.5, -0.25]), 1)
+
+
 def test_only_helmholtz_chain_kernels_share_the_bessel_table():
     # a kernel of another family with a wavenumber and an order (as an I_m chain
     # would be) runs its own generator, even beside a J_m chain of the same k

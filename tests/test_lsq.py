@@ -167,6 +167,8 @@ def test_fit_rows_are_the_kernel_value_system():
     assert np.array_equal(system.b, p.exact(points))
     with pytest.raises(ValueError, match="mkm_like"):
         lsq.assemble_overdetermined(src, field_nodes, None, field_bc, p.exact, phi, "mkm_like")
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        lsq.assemble_overdetermined(src, field_nodes, None, field_bc, p.exact, phi, "rbf_like")
 
 
 def test_monotone_refinement_on_consistent_problem():

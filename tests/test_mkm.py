@@ -31,6 +31,12 @@ def test_system_size_counts_doubled_boundary():
     assert system.matrix.shape == (21, 21)
 
 
+def test_source_sample_count_must_match_the_nodes():
+    _, nodes, bc, fs = p2_setup(n_boundary=8, n_interior=5)
+    with pytest.raises(ValueError, match="expected 13 source samples, got 12"):
+        mkm.assemble_mkm(nodes, laplace(), bc, fs[1:], build_kernel("mq", c=0.8))
+
+
 def test_pure_dirichlet_gaussian_symmetry():
     nodes = generate_nodes(SQUARE, 4, 3, seed=1)  # all Dirichlet
     bc = bkm.BoundaryData(np.zeros(4), np.empty(0))

@@ -1,4 +1,4 @@
-"""Smoke tests: the example scripts and the benchmark replay run to completion in-process."""
+"""Smoke tests: the example script and the benchmark replay run to completion in-process."""
 
 import importlib.util
 from pathlib import Path
@@ -25,7 +25,6 @@ def _run_main(name):
             ["sources: 64, field rows: 128 (2x)", "max overshoot, interpolation", "max overshoot, least squares"],
             4,
         ),
-        ("shape_parameter_sweep", ["    c |    mkm l2  mkm band"], 8),  # header + 7 values of c
     ],
 )
 def test_script_main_runs(name, headers, n_lines, capsys):
