@@ -488,21 +488,26 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
     return _composite("substituted", radial, c=c, base=kernel, label=label, top_order=top)
 
 
+#: catalog families that are a / r, with their a
+_RESIDUES = {"laplace_fs_3d": _INV_4PI}
+
+
 def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
     """Multiply a kernel by r^(2m) to tame its origin behavior; m = 0 is the identity."""
     if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0):
         raise ParameterError(f"augmentation order m must be a nonnegative integer, got {m!r}")
     if m == 0:
         return base
-    return _composite(
-        "augmented", _times_r2m(base.radial, m), base=base, label=f"r^{2 * m} * {base.name}"
-    )
+    radial = _times_r2m(base.radial, m, _RESIDUES.get(base.family, 0.0))
+    return _composite("augmented", radial, base=base, label=f"r^{2 * m} * {base.name}")
 
 
-def _times_r2m(base: _Radial, m: int) -> _Radial:
+def _times_r2m(base: _Radial, m: int, residue: float = 0.0) -> _Radial:
     """phi, phi', phi'' of r^(2m) times the profile `base` generates (m >= 1), by the
-    product rule, `base` read at positive radii only. At r = 0 they are the limits 0, 0
-    and 2 base(0) (m = 1) or 0 (m >= 2), where base(0) may be a pole's infinity."""
+    product rule, `base` read at positive radii only. `base` is bounded at r = 0, has a
+    log pole there, or is residue / r. At r = 0 they are the limits 0, then residue
+    (m = 1) or 0, then 2 base(0) (m = 1 and no 1/r base; base(0) may be a log pole's
+    infinity) or 0."""
     p = 2 * m
 
     def radial(r):
@@ -512,9 +517,11 @@ def _times_r2m(base: _Radial, m: int) -> _Radial:
         b0 = next(b)
         yield _piecewise(nz, q**p * b0, 0.0)
         b1 = next(b)
-        yield _piecewise(nz, p * q ** (p - 1) * b0 + q**p * b1, 0.0)
-        with np.errstate(all="ignore"):  # a log or 1/r pole warns at r = 0
-            at0 = 2.0 * next(base(np.zeros(1)))[0] if m == 1 and not nz.all() else 0.0
+        yield _piecewise(nz, p * q ** (p - 1) * b0 + q**p * b1, residue if m == 1 else 0.0)
+        at0 = 0.0
+        if m == 1 and not residue and not nz.all():
+            with np.errstate(all="ignore"):  # a log pole warns at r = 0
+                at0 = 2.0 * next(base(np.zeros(1)))[0]
         yield _piecewise(
             nz,
             p * (p - 1) * q ** (p - 2) * b0 + 2.0 * p * q ** (p - 1) * b1 + q**p * next(b),

@@ -28,7 +28,11 @@ of the row normals are taken once per block, so neither the tiling nor
 the thread count changes a bit. The other blocks are built by the caller
 alone, tile by tile in order: a singular kernel's pole must be refused in
 the first tile that holds it, and blocks of two or three tiles ran
-slower end to end when shared. Coincident field/source pairs (r below 1e-8)
+slower end to end when shared. Freed tile memory stays in the process:
+under glibc, the package pins malloc's mmap and trim thresholds at import
+(32 and 64 MiB, where glibc's own dynamic threshold ends up), so a tile's
+temporaries reuse pages the tile before faulted in; other C libraries keep
+their allocator's behaviour. Coincident field/source pairs (r below 1e-8)
 are patched with the analytic limits, read from that same pass at r = 0
 (every smooth kernel's generator returns its r = 0 limits); for smooth
 radial kernels the gradient at the origin is the zero vector and the
@@ -41,6 +45,7 @@ expansions evaluated through the same function, and the check
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -64,7 +69,9 @@ COINCIDENT_TOL = 1e-8
 #: (81 ms on one core). A block shared by k threads takes tiles of
 #: 2 TILE / k elements; with `_Pairs` keeping no difference planes where a
 #: block projects none, the tiles in flight keep that assembly's memory
-#: peak under 1.5x its matrix
+#: peak under 1.5x its matrix. Under glibc only, freed temporaries of this
+#: size stay on the heap (`_pin_heap_thresholds`), so the next tile finds
+#: their pages already faulted in
 TILE = 2**15
 
 #: cores this process may run on, which share the row tiles of large blocks
@@ -84,6 +91,22 @@ def _build_pool():
 
 _build_pool()
 os.register_at_fork(after_in_child=_build_pool)
+
+
+def _pin_heap_thresholds():
+    # glibc starts both thresholds at 128 KiB, so a tile's 256 KiB temporaries are mmapped
+    # or trimmed back to the OS when freed, and the next tile faults them in again; pin
+    # them where glibc's dynamic threshold ends up anyway (M_MMAP_THRESHOLD at its 32 MiB
+    # maximum, M_TRIM_THRESHOLD at twice that). Either alone leaves the faults. A forked
+    # child inherits the setting; a libc without mallopt keeps its own behaviour
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_heap_thresholds()
 
 
 def share(tasks):

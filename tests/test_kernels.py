@@ -395,6 +395,19 @@ def test_augmented_kernel_reads_its_limits_at_the_origin():
     assert augment_r2m(_kernel("mq"), 2).derivs_upto(0.0, 2) == (0.0, 0.0, 0.0)
 
 
+def test_augmented_one_over_r_base_reads_its_kink_at_the_origin():
+    # r^2 / (4 pi r) = r / (4 pi): phi'(0) = 1/(4 pi) and phi''(0) = 0, so an order-1
+    # block at a repeated point refuses the cone instead of writing 0.0 there
+    aug = augment_r2m(_kernel("laplace_fs_3d"), 1)
+    assert aug.derivs_upto(0.0, 2) == (0.0, 1.0 / (4.0 * np.pi), 0.0)
+    assert aug.d1(1e-6) == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-12)
+    assert augment_r2m(_kernel("laplace_fs_3d"), 2).derivs_upto(0.0, 2) == (0.0, 0.0, 0.0)
+    X = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+    n = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    with pytest.raises(KernelSmoothnessError):
+        collocation_matrix(None, aug, [("normal", X, n)], [("value", X)])
+
+
 def test_laplace_chain_reads_its_limits_at_the_origin():
     # u_1 = r^2 (A ln r + B) with A < 0: phi''(0) = 2 (A ln 0 + B) = +inf, which a block
     # reading second derivatives at coincident points refuses; m >= 2 vanish there

@@ -1,6 +1,7 @@
 import ast
 import multiprocessing
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -521,6 +522,50 @@ def test_importing_the_package_starts_no_thread():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_only_operators_sets_the_heap_policy():
+    # one owner of the allocator: operators pins glibc's heap thresholds once, at import
+    found, files = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if re.search(r"\b(ctypes|mallopt)\b", text):
+            files.add(path.name)
+        defs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for call in ("CDLL(", "mallopt("):
+                if call in line:
+                    scope = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]
+                    found.append((path.name, scope[-1] if scope else None, call))
+    assert files == {"operators.py"}
+    assert sorted(found) == [
+        ("operators.py", "_pin_heap_thresholds", "CDLL("),
+        ("operators.py", "_pin_heap_thresholds", "mallopt("),
+        ("operators.py", "_pin_heap_thresholds", "mallopt("),
+    ]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pinned thresholds are glibc's")
+def test_repeated_rows_fault_in_no_fresh_pages():
+    # a tile's temporaries go back to the heap, not to the OS, so the rows after the first
+    # reuse pages already faulted in; with glibc's default 128 KiB thresholds these 20
+    # poisson_square MKM rows at nb = 32 took 5760 minor faults
+    code = (
+        "import resource\n"
+        "from rbfbench.bench import run_benchmark\n"
+        "cfg = {'problems': ['poisson_square'], 'methods': ['mkm'], 'n_boundary': 32}\n"
+        "run_benchmark(cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    run_benchmark(cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100
 
 
 def test_collocation_matrix_rejects_unknown_groups():
