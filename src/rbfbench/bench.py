@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -181,11 +182,13 @@ class BenchConfig:
 
     @staticmethod
     def load(path) -> "BenchConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}")
         return BenchConfig.from_dict(raw)
 
 
@@ -430,13 +433,27 @@ def _sweep(config, counts=None):
                 yield label, rows, errors
 
 
+def _check_out_path(path):
+    """A ConfigError when the CSV could not be written at `path` (None: none is
+    written): its directory does not exist, or it names a directory."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+
+
 def run_benchmark(config, out_path=None) -> BenchReport:
-    """Run all configured combinations; unknown names fail before any solve.
+    """Run all configured combinations; unknown names and an output path that
+    cannot be written fail before any solve.
 
     Methods a problem does not support (e.g. boundary-knot solvers on an
     operator without a usable general solution) are skipped. Solver
     failures are collected per combination and reflected in exit_code.
     """
+    _check_out_path(out_path)
     report = BenchReport(rows=[])
     for _, rows, errors in _sweep(config):
         report.rows += rows
@@ -457,6 +474,7 @@ def convergence_study(config, node_ladder, out_path=None) -> BenchReport:
         raise ConfigError(f"ladder needs at least 3 counts, got {ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"ladder must be strictly increasing, got {ladder}")
+    _check_out_path(out_path)
 
     report = BenchReport(rows=[], with_ladder=True)
     for label, rows, errors in _sweep(config, ladder):

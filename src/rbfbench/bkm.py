@@ -8,7 +8,8 @@ contribute source-normal derivative columns with a sign that makes the
 collocation matrix exactly symmetric. Interior nodes never enter the
 boundary solve; the solution evaluates the expansion wherever asked.
 That boundary trace matrix is factored in `assemble_Q` alone, which BPM
-reuses for every order of its series.
+reuses for every order of its series and asks for its chain kernels' trace
+matrices in the same pass.
 The direct variant is the indirect solve followed by its own product
 with the swapped (complementary) trace matrix.
 """
@@ -16,7 +17,7 @@ with the swapped (complementary) trace matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,14 @@ from .errors import InvalidKernelError
 from .geometry import NodeSet
 from .kernels import RadialKernel
 from .linalg import CONDITION_LIMIT, Factor, factor
-from .operators import Expansion, OperatorSpec, Term, collocation_matrix, homogeneous_residual
+from .operators import (
+    Expansion,
+    OperatorSpec,
+    Term,
+    collocation_matrices,
+    collocation_matrix,
+    homogeneous_residual,
+)
 
 #: residual ceiling for accepting a kernel as a homogeneous solution
 GENERAL_SOLUTION_TOL = 1e-4
@@ -108,6 +116,12 @@ def assemble_symmetric_system(
 ) -> np.ndarray:
     """Validate the kernel against the operator, then build the boundary trace
     matrix (`boundary_groups` rows and columns: symmetric for any radial kernel)."""
+    return _trace_matrices(nodes, op, [u_sharp])[0]
+
+
+def _trace_matrices(nodes: NodeSet, op: OperatorSpec, kernels) -> list:
+    # the trace matrices of `kernels` from one pass, once kernels[0] is checked
+    u_sharp = kernels[0]
     res = homogeneous_residual(op, u_sharp)
     if res > GENERAL_SOLUTION_TOL:
         raise InvalidKernelError(
@@ -115,13 +129,22 @@ def assemble_symmetric_system(
             f"{op.kind} (residual {res:.2e})"
         )
     groups = boundary_groups(nodes)
-    return collocation_matrix(None, u_sharp, groups, groups)
+    return collocation_matrices(None, kernels, groups, groups)
 
 
-def assemble_Q(nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel) -> Factor:
+def assemble_Q(
+    nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel, tail: Optional[Sequence] = None
+) -> Factor | tuple[Factor, list]:
     """The factored boundary trace matrix of BKM and of every BPM order; ill-conditioning
-    is reported, not refused (these matrices pass 1e16 while the field stays accurate)."""
-    return factor(assemble_symmetric_system(nodes, op, u_sharp), "boundary knot")
+    is reported, not refused (these matrices pass 1e16 while the field stays accurate).
+
+    Given `tail`, kernels read in the same pass as `u_sharp` (BPM's chain kernels of
+    orders 1, 2, ...), returns the factor and the tail's trace matrices, each tile
+    of them one pairwise geometry and one derivative pass for every kernel.
+    """
+    q, *traces = _trace_matrices(nodes, op, [u_sharp, *(tail or ())])
+    q = factor(q, "boundary knot")
+    return q if tail is None else (q, traces)
 
 
 def solve_indirect(

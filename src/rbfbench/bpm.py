@@ -7,9 +7,11 @@ application collapses any order onto the base kernel, every order is
 solved with one shared matrix Q: BKM's boundary trace matrix in the
 order-0 kernel, factored once by `bkm.assemble_Q`. Orders are solved top
 down: the truncation order first (its own tail set to zero), each lower
-order subtracting the traces of the already-solved tail. The chain
-kernels of all orders are evaluated together: each point-set pair gets
-one pairwise geometry and one Bessel table for every order.
+order subtracting the traces of the already-solved tail. The kernels of
+all orders, order 0 included, are evaluated together: Q and the chain
+traces come from one `assemble_Q` call, the probe values from one
+evaluation, and each of their tiles gets one pairwise geometry and one
+Bessel table for every order.
 
 The source is read only at the boundary nodes, so the series ends
 exactly at the last order whose boundary data are not all zero: every
@@ -110,15 +112,15 @@ def solve_bpm(
                 f"kernel chain entry {m} is {kern.name} at k = {kern.k:g}; "
                 f"it must have order {m} and entry 0's k = {kernel_chain[0].k:g}"
             )
+    # trace matrices of the chain kernels up to `top`, in one pass with Q's unless Q is
+    # given; index m maps coefficients of an order-(n+m) expansion to its traces after
+    # n powers
+    cols, tail = boundary_groups(nodes), kernel_chain[1 : top + 1]
     if q is None:
-        q = assemble_Q(nodes, problem.operator, kernel_chain[0])
-
-    # trace matrices of the chain kernels up to `top`, in one pass; index m
-    # maps coefficients of an order-(n+m) expansion to its traces after n powers
-    cols = boundary_groups(nodes)
-    trace = [q.matrix]
-    if top:
-        trace += collocation_matrices(None, kernel_chain[1 : top + 1], cols, cols)
+        q, traces = assemble_Q(nodes, problem.operator, kernel_chain[0], tail)
+    else:
+        traces = collocation_matrices(None, tail, cols, cols) if tail else []
+    trace = [q.matrix] + traces
 
     betas = [np.zeros(len(data[0])) for _ in range(M + 1)]
     for n in range(top, -1, -1):

@@ -16,7 +16,13 @@ and computes the subexpressions the orders share (the MQ square root,
 the Gaussian exponential, the Bessel values) once per call. Orders past
 the last one read are never evaluated. `derivs_upto_many` evaluates a
 list of kernels at the same radii; the members of one Helmholtz chain
-there share one Bessel table J_0 ... J_M.
+there, its order-0 kernel J0(k r) included, share one Bessel table
+J_0 ... J_M.
+
+A kernel compares and hashes by its fields, not by its generator. The
+kernels the library's constructors build are the ones whose fields
+determine their generator (`library_built`), so only those may be cached
+by value or read a shared Bessel table.
 
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
@@ -28,9 +34,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -94,31 +101,56 @@ class RadialKernel:
         return self.label or self.family
 
 
+#: the kernels the library's constructors built, by identity
+_BUILT = weakref.WeakValueDictionary()
+
+
+def _library_kernel(*args, **fields) -> RadialKernel:
+    kernel = RadialKernel(*args, **fields)
+    _BUILT[id(kernel)] = kernel
+    return kernel
+
+
+def library_built(kernel: RadialKernel) -> bool:
+    """Whether a library constructor (`build_kernel`, `shape_substitute`, `augment_r2m`,
+    `higher_order_solution`) built `kernel`, so that its compared fields determine its
+    generator and a cache may key it by value. Two hand-built kernels with the same
+    fields compare equal whatever their generators yield."""
+    return _BUILT.get(id(kernel)) is kernel
+
+
 def derivs_upto_many(kernels, r, n: int) -> list:
     """`[kernel.derivs_upto(r, n) for kernel in kernels]`, bit for bit, in one pass.
 
     The "helmholtz_chain" kernels of one k read one Bessel table J_0 ... J_M,
     M their highest order, whose orders `_bessel_table` computes the same
-    way whatever M is; every other kernel runs its own generator.
+    way whatever M is. A "helmholtz_gs_2d" kernel of that k, the chain's
+    order 0, reads its J_0 and J_1 from that table too. Every other kernel,
+    a J_0 kernel with no chain of its k beside it and a kernel not
+    `library_built` included, runs its own generator.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if (arr < 0).any():
         raise ValueError("radial distance must be nonnegative")
-    tables = {}  # Helmholtz chain wavenumber -> highest order, then its table
+    tables = {}  # Helmholtz chain wavenumber -> highest order, then (k r, its table)
     for kern in kernels:
         if not 0 <= n <= kern.top_order:
             raise UnsupportedError(f"kernel {kern.name} has no order-{n} radial derivative")
         if kern.singular_at_origin and (arr == 0.0).any():
             raise SingularityError(f"kernel {kern.name} is singular at r = 0")
-        if kern.family == "helmholtz_chain":
+        if kern.family == "helmholtz_chain" and library_built(kern):
             tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
-    tables = {k: _bessel_table(k * arr, m) for k, m in tables.items()}
+    tables = {k: (x := k * arr, _bessel_table(x, m)) for k, m in tables.items()}
     out = []
     for kern in kernels:
-        if kern.family == "helmholtz_chain":
-            gen = _chain_derivs(kern.k, kern.order, arr, tables[kern.k])
+        table = tables.get(kern.k) if tables and library_built(kern) else None
+        if table and kern.family == "helmholtz_chain":
+            gen = _chain_derivs(kern.k, kern.order, arr, table[1])
+        elif table and kern.family == "helmholtz_gs_2d":
+            x, J = table
+            gen = chain([J[0]], _j0_derivs(kern.k, arr, x, J[0], J[1]))
         else:
             gen = kern.radial(arr)
         vals = tuple(islice(gen, n + 1))
@@ -259,25 +291,32 @@ def _laplace_fs_3d() -> _Radial:
 
 
 def _helmholtz_gs_2d(k: float) -> _Radial:
-    # J0(k r); derivatives via J0' = -J1 and J1'(x) = J0(x) - J1(x)/x. Orders 3 and 4 from
-    # J_n' = (J_(n-1) - J_(n+1))/2 and the recurrence (DLMF 10.6.1): J0''' = J1 - x u and
-    # J0'''' = (3 - x^2) u with u = J2(x)/x^2 (1/8 at x = 0), J2 from the series of
-    # `_bessel_table` near 0, so that neither cancels there
+    # J0(k r), with J1 computed only once phi' is read
     def radial(r):
         x = k * r
         j0 = special.j0(x)
         yield j0
-        j1 = special.j1(x)
-        yield -k * j1
-        nz = r > 0.0
-        q = r[nz]
-        yield _piecewise(nz, -k * k * j0[nz] + k * j1[nz] / q, -0.5 * k * k)
-        j2, xq = _bessel_orders(x, [j0, j1], 2)[2], x[nz]
-        u = _piecewise(nz, j2[nz] / (xq * xq), 0.125)
-        yield k**3 * (j1 - x * u)
-        yield k**4 * (3.0 - x * x) * u
+        yield from _j0_derivs(k, r, x, j0, special.j1(x))
 
     return radial
+
+
+def _j0_derivs(k: float, r, x, j0, j1) -> Iterator[np.ndarray]:
+    """phi', phi'', ... of J0(k r) at radii r >= 0, from x = k r, J0(x) and J1(x).
+
+    J0' = -J1 and J1'(x) = J0(x) - J1(x)/x. Orders 3 and 4 come from J_n' =
+    (J_(n-1) - J_(n+1))/2 and the recurrence (DLMF 10.6.1): J0''' = J1 - x u and
+    J0'''' = (3 - x^2) u with u = J2(x)/x^2 (1/8 at x = 0), J2 from the series of
+    `_bessel_table` near 0, so that neither cancels there.
+    """
+    yield -k * j1
+    nz = r > 0.0
+    q = r[nz]
+    yield _piecewise(nz, -k * k * j0[nz] + k * j1[nz] / q, -0.5 * k * k)
+    j2, xq = _bessel_orders(x, [j0, j1], 2)[2], x[nz]
+    u = _piecewise(nz, j2[nz] / (xq * xq), 0.125)
+    yield k**3 * (j1 - x * u)
+    yield k**4 * (3.0 - x * x) * u
 
 
 def _helmholtz_gs_3d(k: float) -> _Radial:
@@ -418,7 +457,7 @@ def build_kernel(family: str, **params) -> RadialKernel:
     missing = [name for name in takes if name not in params]
     if missing:
         raise ParameterError(f"kernel {family!r} needs parameter {', '.join(missing)}")
-    return RadialKernel(family, singular, make(**params), top_order=top, **params)
+    return _library_kernel(family, singular, make(**params), top_order=top, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +484,7 @@ def probe_singular_at_origin(phi: Callable[[np.ndarray], np.ndarray]) -> bool:
 def _composite(family: str, radial: _Radial, **fields) -> RadialKernel:
     """A constructed kernel, flagged singular when its sampled values diverge."""
     singular = probe_singular_at_origin(lambda r: next(radial(r)))
-    return RadialKernel(family, singular, radial, **fields)
+    return _library_kernel(family, singular, radial, **fields)
 
 
 def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
@@ -626,7 +665,7 @@ def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     def radial(r):
         yield from _chain_derivs(k, m, r, _bessel_table(k * r, m))
 
-    return RadialKernel(
+    return _library_kernel(
         "helmholtz_chain", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"
     )
 
@@ -647,7 +686,7 @@ def _laplace_chain_kernel(m: int) -> RadialKernel:
         yield -A / (r * r)
 
     radial = _times_r2m(log_affine, m)
-    return RadialKernel("laplace_chain", False, radial, order=m, label=f"laplace_fs_2d^({m})")
+    return _library_kernel("laplace_chain", False, radial, order=m, label=f"laplace_fs_2d^({m})")
 
 
 # ---------------------------------------------------------------------------

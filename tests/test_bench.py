@@ -843,6 +843,36 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["converge", "--ladder", "16,32,64"]])
+def test_cli_unreadable_config_is_config_error(tmp_path, capsys, command):
+    from rbfbench.cli import main
+
+    out = tmp_path / "x.csv"
+    for cfg in (tmp_path / "missing.json", tmp_path):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: cannot read config {cfg}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["converge", "--ladder", "16,32,64"]])
+def test_cli_unwritable_out_path_is_refused_before_the_first_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    from rbfbench import bench
+    from rbfbench.cli import main
+
+    def no_solve(*args):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(bench, "_single_run", no_solve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problems": ["helmholtz_disk"], "methods": ["bkm"], "n_boundary": 16}\n')
+    for out, why in ((tmp_path / "no" / "x.csv", "does not exist"), (tmp_path, "is a directory")):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert why in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     # every fenced `rbfbench ...` line of README.md, run in-process from the repo root
     import re

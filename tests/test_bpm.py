@@ -299,9 +299,11 @@ def test_shared_chain_pass_is_bit_identical_to_one_kernel_calls(k, bc_rule):
 
 def test_bpm_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatch):
     # order 3 on the Dirichlet-only disk: one pairwise geometry and one
-    # Bessel table per (rows, columns) pair serve every chain order
-    counts = {"pairs": 0, "tables": 0}
-    pairs_init, table = operators._Pairs.__init__, kernels._bessel_table
+    # Bessel table per (rows, columns) pair serve every order, order 0 included
+    counts = {"pairs": 0, "tables": 0, "j0": 0}
+    j0_per_tile = []
+    pairs_init, table, j0 = operators._Pairs.__init__, kernels._bessel_table, kernels.special.j0
+    derivs = operators.derivs_upto_many
 
     def counting_init(self, *args):
         counts["pairs"] += 1
@@ -311,8 +313,21 @@ def test_bpm_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatc
         counts["tables"] += bool(np.size(x))
         return table(x, m)
 
+    def counting_j0(x):
+        counts["j0"] += 1
+        return j0(x)
+
+    def tile_derivs(kerns, r, n):
+        before = counts["j0"]
+        out = derivs(kerns, r, n)
+        j0_per_tile.append(counts["j0"] - before)
+        return out
+
     monkeypatch.setattr(operators._Pairs, "__init__", counting_init)
     monkeypatch.setattr(kernels, "_bessel_table", counting_table)
+    monkeypatch.setattr(kernels.special, "j0", counting_j0)
+    monkeypatch.setattr(operators, "derivs_upto_many", tile_derivs)
+    monkeypatch.setattr(operators, "CORES", 1)  # one tile at a time, for the per-tile count
     config = {
         "problems": ["helmholtz_disk_inhom"],
         "methods": ["bpm"],
@@ -322,10 +337,13 @@ def test_bpm_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatc
     }
     report = run_benchmark(config)
     assert report.errors == [] and len(report.rows) == 1
-    # assembly of Q 1, its kernel check 2, all chain traces 1, probes 1
-    assert counts["pairs"] <= 5
-    # all chain traces 1, probes 1 (the order-0 kernel reads j0 directly)
+    # Q with its chain traces 1, its kernel check 2, probes 1
+    assert counts["pairs"] <= 4
+    # Q with its chain traces 1, probes 1 (the order-0 kernel reads the chain's table)
     assert counts["tables"] <= 2
+    # every tile evaluates J0 once: in the chain's table, or in the lone
+    # order-0 kernel of the kernel check
+    assert len(j0_per_tile) == counts["pairs"] and set(j0_per_tile) == {1}
 
 
 def test_terminating_chain_solves_and_tables_only_its_nonzero_orders(monkeypatch):
@@ -373,8 +391,9 @@ def test_terminating_chain_solves_and_tables_only_its_nonzero_orders(monkeypatch
 
 def test_homogeneous_bpm_row_builds_and_evaluates_order_zero_only(monkeypatch):
     # a homogeneous source ends the series at order 0: no chain-kernel table
-    # (the order-0 kernel reads j0 directly) and no collocation call on a
-    # chain kernel, neither for traces nor for the probe evaluation
+    # (the order-0 kernel, alone in its calls, runs its own J0 generator) and no
+    # collocation call on a chain kernel, neither for Q and the traces nor for
+    # the probe evaluation
     tables, orders = [], []
     table, matrices = kernels._bessel_table, operators.collocation_matrices
 
@@ -389,6 +408,7 @@ def test_homogeneous_bpm_row_builds_and_evaluates_order_zero_only(monkeypatch):
     monkeypatch.setattr(kernels, "_bessel_table", counting_table)
     monkeypatch.setattr(operators, "collocation_matrices", recording_matrices)
     monkeypatch.setattr(bpm, "collocation_matrices", recording_matrices)
+    monkeypatch.setattr(bkm, "collocation_matrices", recording_matrices)
     config = {
         "problems": ["helmholtz_disk"],
         "methods": ["bpm"],
@@ -401,3 +421,67 @@ def test_homogeneous_bpm_row_builds_and_evaluates_order_zero_only(monkeypatch):
     assert report.rows[0].M_order == 3
     assert tables == []
     assert orders and all(o == [0] for o in orders)
+
+
+def test_dirichlet_q_value_block_reads_j0_once_per_tile_and_no_j1(monkeypatch):
+    # the J0 kernel alone computes J1 only once phi' is read, which a value block never does
+    p = get_problem("helmholtz_disk_inhom")
+    nodes = partition_boundary(generate_nodes(DISK, 512, 0, seed=7), p.bc_rule)
+    assert len(nodes.neumann_idx) == 0
+    calls = {"pairs": 0, "j0": 0, "j1": 0}
+    pairs_init, j0, j1 = operators._Pairs.__init__, kernels.special.j0, kernels.special.j1
+
+    def counting_init(self, *args):
+        calls["pairs"] += 1
+        pairs_init(self, *args)
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapped
+
+    u0 = higher_order_solution(p.operator, 0)
+    want = bkm.assemble_symmetric_system(nodes, p.operator, u0)
+    monkeypatch.setattr(operators._Pairs, "__init__", counting_init)
+    monkeypatch.setattr(kernels.special, "j0", counting("j0", j0))
+    monkeypatch.setattr(kernels.special, "j1", counting("j1", j1))
+    monkeypatch.setattr(operators, "CORES", 1)
+    groups = bkm.boundary_groups(nodes)
+    got = collocation_matrix(None, u0, groups, groups)
+    assert np.array_equal(got, want)
+    assert calls["pairs"] >= 4  # a block of several tiles
+    assert calls["j0"] == calls["pairs"] and calls["j1"] == 0
+
+
+@pytest.mark.parametrize("bc_rule", [((0.0, 0.5),), ((0.0, 1.0),)], ids=["mixed", "dirichlet"])
+@pytest.mark.parametrize("k", [0.5, 3.0])
+def test_q_built_with_its_chain_traces_is_bit_identical_to_q_alone(k, bc_rule, monkeypatch):
+    # solve_bpm without q builds Q in one pass with the chain traces; with q given it
+    # builds the chain traces alone: coefficients, condition estimate and Q agree bit
+    # for bit, and Q is the BKM trace matrix
+    op, nodes, prob = shifted_sine_setup(k, bc_rule)
+    chain = chain_for(op, MAX_CHAIN_ORDER)
+    built = []
+    assemble = bpm.assemble_Q
+
+    def recording_assemble(*args):
+        out = assemble(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(bpm, "assemble_Q", recording_assemble)
+    together = bpm.solve_bpm(nodes, prob, chain)
+    (q, traces), = built
+    given = bpm.solve_bpm(nodes, prob, chain, q=bkm.assemble_Q(nodes, op, chain[0]))
+    assert len(built) == 1
+    assert np.array_equal(q.matrix, bkm.assemble_symmetric_system(nodes, op, chain[0]))
+    assert np.array_equal(q.matrix, bkm.assemble_Q(nodes, op, chain[0]).matrix)
+    assert together.cond_est == given.cond_est == q.cond_est
+    for a, b in zip(together.beta_by_order, given.beta_by_order):
+        assert np.array_equal(a, b)
+    groups = bkm.boundary_groups(nodes)
+    assert len(traces) == MAX_CHAIN_ORDER
+    for kern, got in zip(chain[1:], traces):
+        assert np.array_equal(got, collocation_matrix(None, kern, groups, groups)), kern.name

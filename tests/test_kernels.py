@@ -650,14 +650,20 @@ def test_bessel_table_matches_the_two_formulas_bitwise(where):
 
 
 def test_derivs_upto_many_matches_each_generator_bitwise():
-    # two Helmholtz chains (orders out of order), a Laplace chain kernel and
-    # catalog kernels in one pass; each must read as its own generator
+    # two Helmholtz chains (orders out of order), each with its order-0 J0 kernel
+    # reading the chain's table, a Laplace chain kernel and catalog kernels in one
+    # pass; each must read as its own generator. At k = 0.5 the radii reach both
+    # sides of the series cutover x = k r = 2 (r = 4)
     kernels = (
         [build_kernel("helmholtz_gs_2d", k=2.0)]
         + [higher_order_solution(helmholtz(k), m) for k in (2.0, 0.5) for m in (3, 1, 4)]
+        + [build_kernel("helmholtz_gs_2d", k=0.5)]
         + [higher_order_solution(laplace(), 2), build_kernel("mq", c=0.7)]
     )
-    r = np.concatenate([[0.0], np.linspace(1e-3, 3.0, 50)])
+    cutover = _SERIES_CUTOVER / 0.5
+    r = np.concatenate(
+        [[0.0, np.nextafter(cutover, 0.0), cutover], np.linspace(1e-3, 3.0, 50), [4.5, 9.0]]
+    )
     for n in range(3):
         for kern, many in zip(kernels, derivs_upto_many(kernels, r, n)):
             own = tuple(itertools.islice(kern.radial(r), n + 1))
@@ -674,18 +680,21 @@ def test_negative_radius_rejected():
 
 def test_only_helmholtz_chain_kernels_share_the_bessel_table():
     # a kernel of another family with a wavenumber and an order (as an I_m chain
-    # would be) runs its own generator, even beside a J_m chain of the same k
+    # would be) runs its own generator, even beside a J_m chain of the same k; so
+    # does a hand-built kernel of the chain's or the J0 family, whose fields do not
+    # determine its generator
     def own(r):
         yield np.full(r.shape, 1.0)
         yield np.full(r.shape, 2.0)
         yield np.full(r.shape, 3.0)
 
-    other = RadialKernel("higher_order", False, own, k=2.0, order=1)
     chain = higher_order_solution(helmholtz(2.0), 1)
     r = np.array([0.0, 0.5, 1.0])
-    got, ref = derivs_upto_many([other, chain], r, 2)
-    assert [a.tolist() for a in got] == [[1.0] * 3, [2.0] * 3, [3.0] * 3]
-    assert all(np.array_equal(a, b) for a, b in zip(ref, chain.derivs_upto(r, 2)))
+    for family, order in (("higher_order", 1), ("helmholtz_chain", 1), ("helmholtz_gs_2d", 0)):
+        other = RadialKernel(family, False, own, k=2.0, order=order)
+        got, ref = derivs_upto_many([other, chain], r, 2)
+        assert [a.tolist() for a in got] == [[1.0] * 3, [2.0] * 3, [3.0] * 3], family
+        assert all(np.array_equal(a, b) for a, b in zip(ref, chain.derivs_upto(r, 2)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -361,6 +361,45 @@ def test_fourth_order_schemes_reject_rough_kernels():
         ll_star_matrix(op, build_kernel("mq", c=0), pts, pts)
 
 
+def test_hand_built_kernel_is_checked_at_coincident_points_every_time():
+    # two hand-built kernels of one family compare equal whatever their generators
+    # yield, so a smooth one's check must not let the cone phi = r through after it
+    def smooth(r):
+        yield r * r
+        yield 2.0 * r
+        yield np.full(r.shape, 2.0)
+
+    def cone(r):
+        yield r
+        yield np.ones(r.shape)
+        yield np.zeros(r.shape)
+
+    smooth_kernel, cone_kernel = (RadialKernel("custom", False, gen) for gen in (smooth, cone))
+    assert smooth_kernel == cone_kernel
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+
+    def laplacian(kernel):
+        return collocation_matrix(laplace(), kernel, [("op", X)], [("value", X)])
+
+    with pytest.raises(KernelSmoothnessError, match="not smooth at the origin"):
+        laplacian(cone_kernel)
+    assert np.diag(laplacian(smooth_kernel)).tolist() == [4.0, 4.0]  # Lap r^2 = 4
+    with pytest.raises(KernelSmoothnessError, match="not smooth at the origin"):
+        laplacian(cone_kernel)
+
+
+def test_library_kernels_are_checked_at_coincident_points_once():
+    # a harness row builds its kernel afresh; an equal kernel's check is read back
+    from rbfbench import operators
+
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+    before = operators._cached_defect.cache_info()
+    for _ in range(2):
+        collocation_matrix(laplace(), build_kernel("mq", c=0.77), [("op", X)], [("value", X)])
+    after = operators._cached_defect.cache_info()
+    assert after.hits - before.hits >= 1 and after.misses - before.misses <= 1
+
+
 # ---------------------------------------------------------------------------
 # one collocation-matrix builder
 # ---------------------------------------------------------------------------
