@@ -19,10 +19,10 @@ list of kernels at the same radii; the members of one Helmholtz chain
 there, its order-0 kernel J0(k r) included, share one Bessel table
 J_0 ... J_M.
 
-A kernel compares and hashes by its fields, not by its generator. The
-kernels the library's constructors build are the ones whose fields
-determine their generator (`library_built`), so only those may be cached
-by value or read a shared Bessel table.
+A kernel compares and hashes by its fields and by its generator, which
+compares by identity. The library's constructors return one memoized
+instance per checked parameter set, so a rebuilt kernel hits the memos
+keyed by kernels; one held past an eviction is only checked again.
 
 Sign and scaling conventions (e.g. -ln(r)/(2*pi) for the 2D Laplace
 fundamental solution, Y0(k r)/4 for 2D Helmholtz) are fixed once here;
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
@@ -57,17 +56,16 @@ class RadialKernel:
     highest radial derivative it yields (4 for families that support
     fourth-order schemes, 2 otherwise). The generator yields the r == 0
     limit where one exists (TPS's phi'' reads -inf there, its limit);
-    singular kernels refuse evaluation at r == 0. A constructed kernel keeps
-    the kernel it was built from as `base`, compared and hashed with it.
+    singular kernels refuse evaluation at r == 0. Equality and hashing read
+    `radial` too, by identity, so composites of different bases differ.
     """
 
     family: str
     singular_at_origin: bool
-    radial: _Radial = field(repr=False, compare=False)
+    radial: _Radial = field(repr=False)
     c: float = 0.0
     k: float = 0.0
     omega: float = 0.0
-    base: Optional[RadialKernel] = None
     order: int = 0
     label: str = ""
     top_order: int = 2
@@ -101,33 +99,15 @@ class RadialKernel:
         return self.label or self.family
 
 
-#: the kernels the library's constructors built, by identity
-_BUILT = weakref.WeakValueDictionary()
-
-
-def _library_kernel(*args, **fields) -> RadialKernel:
-    kernel = RadialKernel(*args, **fields)
-    _BUILT[id(kernel)] = kernel
-    return kernel
-
-
-def library_built(kernel: RadialKernel) -> bool:
-    """Whether a library constructor (`build_kernel`, `shape_substitute`, `augment_r2m`,
-    `higher_order_solution`) built `kernel`, so that its compared fields determine its
-    generator and a cache may key it by value. Two hand-built kernels with the same
-    fields compare equal whatever their generators yield."""
-    return _BUILT.get(id(kernel)) is kernel
-
-
 def derivs_upto_many(kernels, r, n: int) -> list:
     """`[kernel.derivs_upto(r, n) for kernel in kernels]`, bit for bit, in one pass.
 
     The "helmholtz_chain" kernels of one k read one Bessel table J_0 ... J_M,
     M their highest order, whose orders `_bessel_table` computes the same
-    way whatever M is. A "helmholtz_gs_2d" kernel of that k, the chain's
-    order 0, reads its J_0 and J_1 from that table too. Every other kernel,
-    a J_0 kernel with no chain of its k beside it and a kernel not
-    `library_built` included, runs its own generator.
+    way whatever M is. The memoized "helmholtz_gs_2d" kernel of that k, the
+    chain's order 0, reads its J_0 and J_1 from that table too. Every other
+    kernel, one held past its memo's eviction or hand-built included, runs
+    its own generator (`_reads_table`).
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
@@ -140,12 +120,12 @@ def derivs_upto_many(kernels, r, n: int) -> list:
             raise UnsupportedError(f"kernel {kern.name} has no order-{n} radial derivative")
         if kern.singular_at_origin and (arr == 0.0).any():
             raise SingularityError(f"kernel {kern.name} is singular at r = 0")
-        if kern.family == "helmholtz_chain" and library_built(kern):
+        if kern.family == "helmholtz_chain" and _reads_table(kern):
             tables[kern.k] = max(tables.get(kern.k, 0), kern.order)
     tables = {k: (x := k * arr, _bessel_table(x, m)) for k, m in tables.items()}
     out = []
     for kern in kernels:
-        table = tables.get(kern.k) if tables and library_built(kern) else None
+        table = tables.get(kern.k) if tables and _reads_table(kern) else None
         if table and kern.family == "helmholtz_chain":
             gen = _chain_derivs(kern.k, kern.order, arr, table[1])
         elif table and kern.family == "helmholtz_gs_2d":
@@ -156,6 +136,14 @@ def derivs_upto_many(kernels, r, n: int) -> list:
         vals = tuple(islice(gen, n + 1))
         out.append(tuple(float(v[0]) for v in vals) if scalar else vals)
     return out
+
+
+def _reads_table(kernel: RadialKernel) -> bool:
+    # the memoized chain or J0 instance of its k; other families pay no memo lookup
+    if kernel.family == "helmholtz_chain":
+        return kernel is _helmholtz_chain_kernel(kernel.k, kernel.order)
+    j0 = kernel.family == "helmholtz_gs_2d"
+    return j0 and kernel is _catalog_kernel("helmholtz_gs_2d", (("k", kernel.k),))
 
 
 def _piecewise(mask: np.ndarray, inside, outside) -> np.ndarray:
@@ -453,11 +441,17 @@ def build_kernel(family: str, **params) -> RadialKernel:
     shape parameter, wavenumber and decay rate a config leaves out.
     """
     params = check_parameters(family, params)
-    make, singular, top, takes = _FAMILIES[family]
-    missing = [name for name in takes if name not in params]
+    missing = [name for name in FAMILY_PARAMETERS[family] if name not in params]
     if missing:
         raise ParameterError(f"kernel {family!r} needs parameter {', '.join(missing)}")
-    return _library_kernel(family, singular, make(**params), top_order=top, **params)
+    return _catalog_kernel(family, tuple(sorted(params.items())))
+
+
+@lru_cache(maxsize=256)  # keyed by the checked floats, since a raw c=True hashes like c=1
+def _catalog_kernel(family: str, params: tuple) -> RadialKernel:
+    make, singular, top, _ = _FAMILIES[family]
+    params = dict(params)
+    return RadialKernel(family, singular, make(**params), top_order=top, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +478,7 @@ def probe_singular_at_origin(phi: Callable[[np.ndarray], np.ndarray]) -> bool:
 def _composite(family: str, radial: _Radial, **fields) -> RadialKernel:
     """A constructed kernel, flagged singular when its sampled values diverge."""
     singular = probe_singular_at_origin(lambda r: next(radial(r)))
-    return _library_kernel(family, singular, radial, **fields)
+    return RadialKernel(family, singular, radial, **fields)
 
 
 def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
@@ -495,9 +489,11 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
     c takes the MQ shape parameter's range.
     """
     c = check_parameter("mq", "c", c)
-    if c == 0.0:
-        return kernel
+    return kernel if c == 0.0 else _substituted(kernel, c)
 
+
+@lru_cache(maxsize=256)
+def _substituted(kernel: RadialKernel, c: float) -> RadialKernel:
     top = 4 if kernel.top_order >= 4 else 2
     mq = _mq(c)
 
@@ -524,7 +520,7 @@ def shape_substitute(kernel: RadialKernel, c: float) -> RadialKernel:
         )
 
     label = f"{kernel.name}+shift(c={c:g})"
-    return _composite("substituted", radial, c=c, base=kernel, label=label, top_order=top)
+    return _composite("substituted", radial, c=c, label=label, top_order=top)
 
 
 #: catalog families that are a / r, with their a
@@ -535,10 +531,13 @@ def augment_r2m(base: RadialKernel, m: int) -> RadialKernel:
     """Multiply a kernel by r^(2m) to tame its origin behavior; m = 0 is the identity."""
     if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0):
         raise ParameterError(f"augmentation order m must be a nonnegative integer, got {m!r}")
-    if m == 0:
-        return base
+    return base if m == 0 else _augmented(base, int(m))
+
+
+@lru_cache(maxsize=256)
+def _augmented(base: RadialKernel, m: int) -> RadialKernel:
     radial = _times_r2m(base.radial, m, _RESIDUES.get(base.family, 0.0))
-    return _composite("augmented", radial, base=base, label=f"r^{2 * m} * {base.name}")
+    return _composite("augmented", radial, label=f"r^{2 * m} * {base.name}")
 
 
 def _times_r2m(base: _Radial, m: int, residue: float = 0.0) -> _Radial:
@@ -584,11 +583,13 @@ def higher_order_solution(operator, order: int) -> RadialKernel:
     u_m = r^(2m) (A_m ln r + B_m), A_m and B_m fixed by the recursion.
     Implemented up to order MAX_CHAIN_ORDER.
     """
-    if order < 0 or order > MAX_CHAIN_ORDER:
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+        raise ParameterError(f"chain order must be an integer, got {order!r}")
+    if not 0 <= (order := int(order)) <= MAX_CHAIN_ORDER:
         raise UnsupportedError(f"chain order must be in 0..{MAX_CHAIN_ORDER}, got {order}")
     kind = operator.kind
     if kind == "helmholtz_2d":
-        k = operator.k
+        k = float(operator.k)
         if order == 0:
             return build_kernel("helmholtz_gs_2d", k=k)
         return _helmholtz_chain_kernel(k, order)
@@ -661,11 +662,12 @@ def _chain_derivs(k: float, m: int, r, J) -> Iterator[np.ndarray]:
     yield a * (k * r ** (m - 1) * J[m - 1] + k * k * rm * jm2)
 
 
+@lru_cache(maxsize=64)
 def _helmholtz_chain_kernel(k: float, m: int) -> RadialKernel:
     def radial(r):
         yield from _chain_derivs(k, m, r, _bessel_table(k * r, m))
 
-    return _library_kernel(
+    return RadialKernel(
         "helmholtz_chain", False, radial, k=k, order=m, label=f"helmholtz_gs_2d^({m})"
     )
 
@@ -677,6 +679,7 @@ def _laplace_chain_coeffs(m: int) -> tuple[float, float]:
     return A, B
 
 
+@lru_cache(maxsize=MAX_CHAIN_ORDER)
 def _laplace_chain_kernel(m: int) -> RadialKernel:
     A, B = _laplace_chain_coeffs(m)
 
@@ -686,7 +689,7 @@ def _laplace_chain_kernel(m: int) -> RadialKernel:
         yield -A / (r * r)
 
     radial = _times_r2m(log_affine, m)
-    return _library_kernel("laplace_chain", False, radial, order=m, label=f"laplace_fs_2d^({m})")
+    return RadialKernel("laplace_chain", False, radial, order=m, label=f"laplace_fs_2d^({m})")
 
 
 # ---------------------------------------------------------------------------

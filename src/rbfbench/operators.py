@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import KernelSmoothnessError, ParameterError, SingularityError
-from .kernels import RadialKernel, derivs_upto_many, library_built
+from .kernels import RadialKernel, derivs_upto_many
 
 #: below this separation a field/source pair is treated as coincident
 COINCIDENT_TOL = 1e-8
@@ -599,24 +599,18 @@ def _require_fourth_order(kernel: RadialKernel, order: int):
         )
 
 
+@lru_cache(maxsize=256)
 def _origin_defect(kernel: RadialKernel, order: int) -> str:
     """Why a block reading derivatives up to `order` cannot patch coincident pairs with
     `kernel`'s r = 0 values ('' if it can): one is not finite, or phi'(0) is not 0.
-    Cached for the kernels the library built; a hand-built kernel, which compares
-    equal to another whatever its generator, is checked every time."""
-    return (_cached_defect if library_built(kernel) else _defect)(kernel, order)
-
-
-def _defect(kernel: RadialKernel, order: int) -> str:
+    Cached per kernel and order: a kernel's equality covers its generator, so no
+    kernel reads another's verdict."""
     with np.errstate(all="ignore"):  # MQ with c = 0 is phi = r, whose phi'(0) is 0/0
         limits = kernel.derivs_upto(0.0, order)
     if all(map(math.isfinite, limits)) and abs(limits[1]) <= 1e-12:
         return ""
     shown = ", ".join(f"{v:g}" for v in limits)
     return f"kernel {kernel.name} is not smooth at the origin (phi, phi', ... at r = 0: {shown})"
-
-
-_cached_defect = lru_cache(maxsize=256)(_defect)
 
 
 #: where `homogeneous_residual` samples: radii 0.5, 1 and 2 along both axes,

@@ -692,6 +692,54 @@ def test_default_suite_twice_in_one_process_is_byte_identical(tmp_path):
     assert first == (REPO / "tests" / "fixtures" / "default_suite.csv").read_bytes()
 
 
+def test_bounded_kernel_memos_stay_sound_under_eviction(monkeypatch, tmp_path):
+    # every memo keyed by kernel parameters or kernels holds one entry, so each build
+    # evicts the last: a kernel held past its eviction is unequal to its rebuilt twin,
+    # and is checked and evaluated on its own
+    from functools import lru_cache
+
+    from rbfbench import kernels, operators
+    from rbfbench.errors import KernelSmoothnessError
+
+    memos = [(operators, "_origin_defect")] + [
+        (kernels, name)
+        for name in ("_catalog_kernel", "_substituted", "_augmented")
+        + ("_helmholtz_chain_kernel", "_laplace_chain_kernel")
+    ]
+    for module, name in memos:
+        monkeypatch.setattr(module, name, lru_cache(maxsize=1)(getattr(module, name).__wrapped__))
+    run_benchmark(str(REPO / "configs" / "default.json"), tmp_path / "default.csv")
+    fixture = REPO / "tests" / "fixtures" / "default_suite.csv"
+    assert (tmp_path / "default.csv").read_bytes() == fixture.read_bytes()
+
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+
+    def laplacian(kernel):
+        rows, cols = [("op", X)], [("value", X)]
+        return operators.collocation_matrix(operators.laplace(), kernel, rows, cols)
+
+    smooth = build_kernel("mq", c=0.5)
+    cone = build_kernel("mq", c=0)  # phi = r, evicting the smooth kernel
+    twin = build_kernel("mq", c=0.5)
+    assert twin is not smooth and smooth != twin and smooth != cone and cone != twin
+    for _ in range(2):
+        assert np.isfinite(laplacian(smooth)).all()
+        with pytest.raises(KernelSmoothnessError, match="not smooth at the origin"):
+            laplacian(cone)
+    assert np.array_equal(laplacian(twin), laplacian(smooth))
+
+    # the held chain kernel runs its own generator beside the chain that evicted it
+    held, evicting, rebuilt = (
+        kernels.higher_order_solution(operators.helmholtz(2.0), m) for m in (2, 3, 2)
+    )
+    assert rebuilt is not held and held != rebuilt and held != evicting
+    r = np.linspace(0.0, 3.0, 31)
+    chain = [held, evicting, rebuilt]
+    for kern, got in zip(chain, kernels.derivs_upto_many(chain, r, 2)):
+        own = kern.radial(r)
+        assert all(np.array_equal(a, next(own)) for a in got), kern.name
+
+
 def test_solver_failure_sets_exit_code():
     bad = {
         "problems": ["poisson_square"],

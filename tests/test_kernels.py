@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import json
@@ -421,15 +422,56 @@ def test_laplace_chain_reads_its_limits_at_the_origin():
         assert higher_order_solution(laplace(), m).derivs_upto(0.0, 2) == (0.0, 0.0, 0.0)
 
 
-def test_composite_kernels_compare_by_their_base():
-    # two shifts of different MQs share family, shift and label; their bases differ,
-    # and so must they (a block's coincident-point check caches by kernel)
+def test_one_kernel_instance_per_checked_parameter_set():
+    # the constructors memoize on their checked values, so that a kernel built twice is
+    # one object and memos keyed by kernels hit; a kernel's generator takes part in its
+    # equality, so two shifts of different MQs, which share family, shift and label, differ
     a = shape_substitute(build_kernel("mq", c=1.0), 0.5)
     b = shape_substitute(build_kernel("mq", c=2.0), 0.5)
     assert a.name == b.name
     assert a != b and hash(a) != hash(b)
-    assert a == shape_substitute(build_kernel("mq", c=1.0), 0.5)
+    assert a is shape_substitute(build_kernel("mq", c=1.0), 0.5)
     assert augment_r2m(build_kernel("mq", c=1.0), 1) != augment_r2m(build_kernel("mq", c=2.0), 1)
+    mq = build_kernel("mq", c=1)
+    assert mq is build_kernel("mq", c=1.0)
+    assert shape_substitute(mq, 1) is shape_substitute(mq, 1.0)
+    assert augment_r2m(mq, np.int64(1)) is augment_r2m(mq, 1)
+    for op in (helmholtz(2.0), laplace()):
+        first = [higher_order_solution(op, m) for m in range(MAX_CHAIN_ORDER + 1)]
+        assert all(higher_order_solution(op, m) is kern for m, kern in enumerate(first))
+    assert higher_order_solution(helmholtz(2), 3) is higher_order_solution(helmholtz(2.0), 3)
+
+    def one(r):
+        yield np.ones(r.shape)
+
+    def other(r):
+        yield np.ones(r.shape)
+
+    x, y = (RadialKernel("custom", False, gen) for gen in (one, other))
+    assert x != y and hash(x) != hash(y)
+    assert x == RadialKernel("custom", False, one)
+
+
+def test_only_the_kernel_module_builds_kernels():
+    # one kernel identity: every kernel the library builds comes from a memoized
+    # constructor of the kernel module, and no registry beside it decides which
+    # kernels a memo may key by value
+    calls, names = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        names += [(path.name, name) for name in ("weakref", "library_built") if name in text]
+        defs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(r"\bRadialKernel\(", line):
+                scope = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]
+                calls.append((path.name, scope[-1] if scope else None))
+    assert names == []
+    assert sorted(calls) == [
+        ("kernels.py", "_catalog_kernel"),
+        ("kernels.py", "_composite"),
+        ("kernels.py", "_helmholtz_chain_kernel"),
+        ("kernels.py", "_laplace_chain_kernel"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +525,16 @@ def test_chain_derivative_consistency():
         for r in (0.3, 1.0, 2.5):
             assert kern.d1(r) == pytest.approx(central_d1(kern.phi, r, h=1e-6), rel=1e-5, abs=1e-10)
             assert kern.d2(r) == pytest.approx(central_d1(kern.d1, r, h=1e-6), rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, "1", None])
+@pytest.mark.parametrize("op", [helmholtz(2.0), laplace()], ids=["helmholtz", "laplace"])
+def test_chain_order_must_be_an_integer(op, order):
+    # refused before any memo: True hashes like 1, and would name and key a kernel
+    with pytest.raises(ParameterError, match="chain order must be an integer"):
+        higher_order_solution(op, order)
+    assert higher_order_solution(op, 1).label.endswith("^(1)")
+    assert higher_order_solution(op, np.int64(2)) is higher_order_solution(op, 2)
 
 
 def test_chain_rejects_unsupported():

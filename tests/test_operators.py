@@ -362,8 +362,8 @@ def test_fourth_order_schemes_reject_rough_kernels():
 
 
 def test_hand_built_kernel_is_checked_at_coincident_points_every_time():
-    # two hand-built kernels of one family compare equal whatever their generators
-    # yield, so a smooth one's check must not let the cone phi = r through after it
+    # two hand-built kernels that differ only by their generators differ, so a smooth
+    # one's cached check must not let the cone phi = r through after it
     def smooth(r):
         yield r * r
         yield 2.0 * r
@@ -375,7 +375,7 @@ def test_hand_built_kernel_is_checked_at_coincident_points_every_time():
         yield np.zeros(r.shape)
 
     smooth_kernel, cone_kernel = (RadialKernel("custom", False, gen) for gen in (smooth, cone))
-    assert smooth_kernel == cone_kernel
+    assert smooth_kernel != cone_kernel and hash(smooth_kernel) != hash(cone_kernel)
     X = np.array([[0.0, 0.0], [0.5, 0.0]])
 
     def laplacian(kernel):
@@ -393,10 +393,10 @@ def test_library_kernels_are_checked_at_coincident_points_once():
     from rbfbench import operators
 
     X = np.array([[0.0, 0.0], [0.5, 0.0]])
-    before = operators._cached_defect.cache_info()
+    before = operators._origin_defect.cache_info()
     for _ in range(2):
         collocation_matrix(laplace(), build_kernel("mq", c=0.77), [("op", X)], [("value", X)])
-    after = operators._cached_defect.cache_info()
+    after = operators._origin_defect.cache_info()
     assert after.hits - before.hits >= 1 and after.misses - before.misses <= 1
 
 
