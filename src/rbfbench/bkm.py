@@ -11,7 +11,11 @@ That boundary trace matrix is factored in `assemble_Q` alone, which BPM
 reuses for every order of its series and asks for its chain kernels' trace
 matrices in the same pass.
 The direct variant is the indirect solve followed by its own product
-with the swapped (complementary) trace matrix.
+with the swapped (complementary) trace matrix B. B is its own matrix with
+its own block formulas, but it is built in Q's `assemble_Q` pass: its rows
+stand on Q's point arrays, so each tile of a node class is one pairwise
+geometry and one derivative pass for both. The particular field's traces
+under Q's rows and under B's come from one pass the same way.
 """
 
 from __future__ import annotations
@@ -116,11 +120,20 @@ def assemble_symmetric_system(
 ) -> np.ndarray:
     """Validate the kernel against the operator, then build the boundary trace
     matrix (`boundary_groups` rows and columns: symmetric for any radial kernel)."""
-    return _trace_matrices(nodes, op, [u_sharp])[0]
+    groups = boundary_groups(nodes)
+    return _trace_matrices(op, [u_sharp], groups, groups)[0]
 
 
-def _trace_matrices(nodes: NodeSet, op: OperatorSpec, kernels) -> list:
-    # the trace matrices of `kernels` from one pass, once kernels[0] is checked
+def _swapped_groups(nodes: NodeSet, groups: list) -> list:
+    # the complementary traces, normal derivatives at Dirichlet nodes then values at
+    # Neumann nodes, on the point arrays of `groups` (`boundary_groups(nodes)`), so that a
+    # pass over both shares each tile of a node class
+    (_, xd), (_, xn, _) = groups
+    return [("normal", xd, nodes.dirichlet_normals), ("value", xn)]
+
+
+def _trace_matrices(op: OperatorSpec, kernels, rows, cols) -> list:
+    # the matrices of `kernels` from one pass, once kernels[0] is checked
     u_sharp = kernels[0]
     res = homogeneous_residual(op, u_sharp)
     if res > GENERAL_SOLUTION_TOL:
@@ -128,12 +141,16 @@ def _trace_matrices(nodes: NodeSet, op: OperatorSpec, kernels) -> list:
             f"kernel {u_sharp.name} is not a homogeneous solution of "
             f"{op.kind} (residual {res:.2e})"
         )
-    groups = boundary_groups(nodes)
-    return collocation_matrices(None, kernels, groups, groups)
+    return collocation_matrices(None, kernels, rows, cols)
 
 
 def assemble_Q(
-    nodes: NodeSet, op: OperatorSpec, u_sharp: RadialKernel, tail: Optional[Sequence] = None
+    nodes: NodeSet,
+    op: OperatorSpec,
+    u_sharp: RadialKernel,
+    tail: Optional[Sequence] = None,
+    *,
+    swapped: bool = False,
 ) -> Factor | tuple[Factor, list]:
     """The factored boundary trace matrix of BKM and of every BPM order; ill-conditioning
     is reported, not refused (these matrices pass 1e16 while the field stays accurate).
@@ -141,10 +158,47 @@ def assemble_Q(
     Given `tail`, kernels read in the same pass as `u_sharp` (BPM's chain kernels of
     orders 1, 2, ...), returns the factor and the tail's trace matrices, each tile
     of them one pairwise geometry and one derivative pass for every kernel.
+    Given `swapped`, returns the factor and a list that goes on with the swapped
+    trace matrices of u_sharp and the tail (normal derivatives at Dirichlet nodes,
+    values at Neumann nodes, against Q's columns). They come from Q's pass: the
+    swapped rows of a node class share each of its tiles with Q's rows there, and
+    each matrix keeps its own block formulas.
     """
-    q, *traces = _trace_matrices(nodes, op, [u_sharp, *(tail or ())])
+    groups = boundary_groups(nodes)
+    rows = groups + _swapped_groups(nodes, groups) if swapped else groups
+    mats = _trace_matrices(op, [u_sharp, *(tail or ())], rows, groups)
+    if swapped:  # each matrix holds Q's rows over the swapped rows: split them as views
+        n = len(mats[0]) // 2
+        mats = [m[:n] for m in mats] + [m[n:] for m in mats]
+    q, *traces = mats
     q = factor(q, "boundary knot")
-    return q if tail is None else (q, traces)
+    return q if tail is None and not swapped else (q, traces)
+
+
+def _solve(nodes, op, bc, f_samples, phi, u_sharp, swapped: bool):
+    # the indirect solve, then (given `swapped`, else None) u_sharp's swapped trace matrix
+    # B, from Q's pass, and the swapped traces of the particular terms (None without
+    # them), from the pass of their boundary traces
+    rhs = bc.stacked(nodes)
+    groups = boundary_groups(nodes)
+    particular = B = swapped_traces = None
+    if f_samples is not None and np.any(np.asarray(f_samples, dtype=float)):
+        if phi is None:
+            raise ValueError("inhomogeneous problem needs a fitting kernel phi")
+        particular = fit_particular(nodes, f_samples, op, phi)
+    if swapped:
+        lu, (B,) = assemble_Q(nodes, op, u_sharp, swapped=True)
+    else:
+        lu = assemble_Q(nodes, op, u_sharp)
+    terms = []
+    if particular is not None:
+        row_sets = [groups, _swapped_groups(nodes, groups)] if swapped else [groups]
+        traces, *rest = particular.trace_sets(row_sets)
+        rhs -= traces
+        swapped_traces = rest[0] if swapped else None
+        terms = particular.terms
+    homogeneous = Term(op, u_sharp, groups, lu.solve(rhs))
+    return Expansion([homogeneous] + terms, lu.cond_est), B, swapped_traces
 
 
 def solve_indirect(
@@ -160,19 +214,7 @@ def solve_indirect(
     A homogeneous problem (no source samples, or all zero) skips the fit
     and needs no interior nodes.
     """
-    rhs = bc.stacked(nodes)
-    particular = None
-    if f_samples is not None and np.any(np.asarray(f_samples, dtype=float)):
-        if phi is None:
-            raise ValueError("inhomogeneous problem needs a fitting kernel phi")
-        particular = fit_particular(nodes, f_samples, op, phi)
-    lu = assemble_Q(nodes, op, u_sharp)
-    groups = boundary_groups(nodes)
-    if particular is not None:
-        rhs -= particular.traces(groups)
-    homogeneous = Term(op, u_sharp, groups, lu.solve(rhs))
-    terms = [homogeneous] + (particular.terms if particular is not None else [])
-    return Expansion(terms, lu.cond_est)
+    return _solve(nodes, op, bc, f_samples, phi, u_sharp, swapped=False)[0]
 
 
 def solve_direct(
@@ -186,20 +228,17 @@ def solve_direct(
     """Recover the complementary boundary traces without exposing coefficients.
 
     Runs the indirect solve, then maps its homogeneous coefficients
-    through the swapped trace matrix (normal derivatives at Dirichlet
-    nodes, values at Neumann nodes), built here rather than read back
-    through `Expansion.traces`; the particular terms of an inhomogeneous
-    problem add their own swapped traces.
+    through the swapped trace matrix B (normal derivatives at Dirichlet
+    nodes, values at Neumann nodes) in a product of its own, rather than
+    reading them back through `Expansion.traces`. B is built in Q's pass,
+    each tile of a node class one geometry and one derivative pass for
+    both, with its own block formulas; Q alone is factored. The particular
+    terms of an inhomogeneous problem add their own swapped traces, from
+    the pass that gives the solve their boundary traces.
     """
-    solved = solve_indirect(nodes, op, bc, f_samples, phi, u_sharp)
-    homogeneous, particular = solved.terms[0], solved.terms[1:]
-    rows = [
-        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
-        ("value", nodes.neumann_points),
-    ]
-    B = collocation_matrix(None, u_sharp, rows, homogeneous.columns)
-    traces = B @ homogeneous.coefficients
-    if particular:
-        traces += Expansion(particular, solved.cond_est).traces(rows)
+    solved, B, particular_traces = _solve(nodes, op, bc, f_samples, phi, u_sharp, swapped=True)
+    traces = B @ solved.terms[0].coefficients
+    if particular_traces is not None:
+        traces += particular_traces
     L_D = len(nodes.dirichlet_idx)
     return RecoveredTraces(traces[:L_D], traces[L_D:], solved.cond_est)

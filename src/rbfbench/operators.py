@@ -12,20 +12,26 @@ operator images L, columns are kernels, source-normal derivatives or
 adjoint images L*, and each of the nine (row, column) pairs is one
 analytic block formula, up to L L* (which needs third and fourth radial
 derivatives), built in cache-sized row tiles of one pairwise geometry
-and one derivative pass each, straight into the output. A block of at
-least four tiles whose kernels have no pole is shared round-robin by
-k = min(CORES, tiles / 2, MAX_THREADS) threads through `share`, which
-runs its first task on the caller and the others on the package's one
-thread pool of MAX_THREADS - 1 workers (`CORES` is the size of the
-process's CPU affinity set; `lsq` factors the second row block of a
-large least-squares system through `share` too). The pool is built at
-import, starts no thread before its first task, and is built afresh in
-a forked child; NumPy, SciPy and LAPACK release the interpreter lock in
-their loops. Each thread takes tiles of 2 TILE / k elements, so the
-tiles in flight hold two serial tiles' memory on any machine. Every
-entry is an elementwise function of its own pair, and the BLAS products
-of the row normals are taken once per block, so neither the tiling nor
-the thread count changes a bit. The other blocks are built by the caller
+and one derivative pass each, straight into the output. A tile serves
+every kernel of the call and every row group on its point array (the
+same array object): against one column group, such row groups take one
+tile loop, each tile's pass reaching the highest radial order any of
+their formulas reads, and each formula reads its own order's slice of it
+into its own block. A block of at least four tiles whose kernels have no
+pole is shared round-robin by k = min(CORES, tiles / 2, MAX_THREADS)
+threads through `share`, which runs its first task on the caller and
+the others on the package's one thread pool of MAX_THREADS - 1 workers
+(`CORES` is the size of the process's CPU affinity set; `lsq` factors
+the second row block of a large least-squares system through `share`
+too). The pool is built at import, starts no thread before its first
+task, and is built afresh in a forked child; NumPy, SciPy and LAPACK
+release the interpreter lock in their loops. Each thread takes tiles of
+2 TILE / k elements, so the tiles in flight hold two serial tiles'
+memory on any machine. Every entry is an elementwise function of its
+own pair, a radial derivative does not depend on how many a pass
+computes, and the BLAS products of the row normals are taken once per
+block, so neither the tiling, nor the sharing of tiles by row groups,
+nor the thread count changes a bit. The other blocks are built by the caller
 alone, tile by tile in order: a singular kernel's pole must be refused in
 the first tile that holds it, and blocks of two or three tiles ran
 slower end to end when shared. Freed tile memory stays in the process:
@@ -34,13 +40,15 @@ under glibc, the package pins malloc's mmap and trim thresholds at import
 temporaries reuse pages the tile before faulted in; other C libraries keep
 their allocator's behaviour. Coincident field/source pairs (r below 1e-8)
 are patched with the analytic limits, read from that same pass at r = 0
-(every smooth kernel's generator returns its r = 0 limits); for smooth
+(every smooth kernel's generator returns its r = 0 limits; plain kernel
+values keep phi(r), as no limit stands in for them); for smooth
 radial kernels the gradient at the origin is the zero vector and the
 Laplacian limit is 2*phi''(0), so a tile with coincident pairs refuses a
 kernel whose r = 0 values are not such limits (`_origin_defect`). Every
 solved field of every scheme is an `Expansion`, a sum of kernel
 expansions evaluated through the same function, and the check
-`homogeneous_residual` is one call of it too.
+`homogeneous_residual`, cached per operator and kernel, is one call of it
+too.
 """
 
 from __future__ import annotations
@@ -222,15 +230,10 @@ class _Pairs:
     COINCIDENT_TOL) and the safe divisor `rs` are computed on first use,
     since plain kernel values need neither; `rs` is `r` itself with its
     coincident entries set to 1 in place, so `r` is read (by the
-    derivative pass) before `rs`. `nn` is n_x.n_y of normal rows against
-    normal columns, n_x.v (one column) of normal rows against adjoint
-    columns under velocity v, else None. Refuses poles of singular kernels.
+    derivative pass) before `rs`. Refuses poles of singular kernels.
     """
 
-    def __init__(
-        self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str, nn=None, planes=True
-    ):
-        self.nn = nn
+    def __init__(self, kernel: RadialKernel, X: np.ndarray, Y: np.ndarray, what: str, planes=True):
         self.dx = X[:, :1] - Y[:, 0]
         self.dy = X[:, 1:] - Y[:, 1]
         # the rounding of the two-term sum of squares, not hypot's
@@ -261,18 +264,20 @@ class _Pairs:
 
 # Each block formula reads `g`, the `_Pairs` of its points (d = x_i - y_j
 # below, d.w = g.dot(w); `g.rs` may be `g.r` itself, so neither is written
-# into) and `f`, the kernel's radial derivatives at the pair radii `g.r`,
-# which `_block` first sets to 0 on the coincident mask `g.z` (phi, phi',
-# ... up to the order `_FORMULAS` lists). Every smooth kernel's generator
+# into), `f`, the kernel's radial derivatives at the pair radii `g.r`,
+# which `_blocks` first sets to 0 on the coincident mask `g.z` (phi, phi',
+# ... up to the order `_FORMULAS` lists), and `nn`: n_x.n_y of normal rows
+# against normal columns, n_x.v (one column) of normal rows against adjoint
+# columns under velocity v, else None. Every smooth kernel's generator
 # returns its r = 0 limits, so a formula patches the coincident entries
-# with analytic limits read there (`_block` refuses any other kernel).
+# with analytic limits read there (`_blocks` refuses any other kernel).
 
 
-def _value_value(op, g, f, nx, ny):
+def _value_value(op, g, f, nx, ny, nn):
     return f[0]
 
 
-def _normal_value(op, g, f, nx, ny):
+def _normal_value(op, g, f, nx, ny, nn):
     # directional derivative at the field point: phi'(r) (d.n_x)/r
     proj = g.dot(nx[:, None])
     out = f[1] * proj / g.rs
@@ -280,7 +285,7 @@ def _normal_value(op, g, f, nx, ny):
     return out
 
 
-def _value_normal(op, g, f, nx, ny):
+def _value_normal(op, g, f, nx, ny, nn):
     # directional derivative at the source point: -phi'(r) (d.n_y)/r
     proj = g.dot(ny)
     out = -f[1] * proj / g.rs
@@ -288,11 +293,11 @@ def _value_normal(op, g, f, nx, ny):
     return out
 
 
-def _normal_normal(op, g, f, nx, ny):
+def _normal_normal(op, g, f, nx, ny, nn):
     # field-normal derivative of the source-normal derivative; symmetric
     # under the swap (x, n_x) <-> (y, n_y), coincident limit -phi''(0) n_x.n_y
     rs, z = g.rs, g.z
-    px, py, nn = g.dot(nx[:, None]), g.dot(ny), g.nn
+    px, py = g.dot(nx[:, None]), g.dot(ny)
     _, d1, d2 = f
     out = -(d2 * py * px / rs**2 + d1 * (nn / rs - py * px / rs**3))
     if z.any():
@@ -300,7 +305,7 @@ def _normal_normal(op, g, f, nx, ny):
     return out
 
 
-def _op_value(op, g, f, nx, ny):
+def _op_value(op, g, f, nx, ny, nn):
     # L in the field variable: D*(phi'' + phi'/r) + gamma*phi - phi' (v.d)/r; a factor
     # D = 1 and a term gamma*phi with gamma = 0 are skipped, which changes no bit
     rs, z = g.rs, g.z
@@ -319,9 +324,9 @@ def _op_value(op, g, f, nx, ny):
     return out
 
 
-def _value_adjoint(op, g, f, nx, ny):
+def _value_adjoint(op, g, f, nx, ny, nn):
     # the adjoint-image trial function L* phi, valued at the field point
-    return _op_value(adjoint_of(op), g, f, nx, ny)
+    return _op_value(adjoint_of(op), g, f, nx, ny, nn)
 
 
 def _normal_image(op, g, f, p, vn, sign):
@@ -359,17 +364,17 @@ def _normal_image(op, g, f, p, vn, sign):
     return out
 
 
-def _op_normal(op, g, f, nx, ny):
+def _op_normal(op, g, f, nx, ny, nn):
     # L (field) applied to the source-normal column
     return _normal_image(op, g, f, g.dot(ny), ny @ op.velocity_vec, -1)
 
 
-def _normal_adjoint(op, g, f, nx, ny):
+def _normal_adjoint(op, g, f, nx, ny, nn):
     # field-normal derivative of the L* image
-    return _normal_image(op, g, f, g.dot(nx[:, None]), g.nn, 1)
+    return _normal_image(op, g, f, g.dot(nx[:, None]), nn, 1)
 
 
-def _op_adjoint(op, g, f, nx, ny):
+def _op_adjoint(op, g, f, nx, ny, nn):
     # L L* phi: D^2 Lap^2 + 2 gamma D Lap + gamma^2 - (v.grad)^2 with, by Horner's rule in 1/r,
     # Lap^2 phi = phi'''' + 2 phi'''/r - phi''/r^2 + phi'/r^3 = ((phi'/r - phi'')/r + 2 phi''')/r
     # + phi''''. Built in place; a factor D = 1 and the terms of gamma = 0 are skipped
@@ -440,46 +445,66 @@ def _group(group, kinds):
     return kind, arrays[0], arrays[1] if kind == "normal" else None
 
 
-def _block(op, kernels, pole, row, col, outs):
-    # row tiles of at most TILE elements, each of one geometry (refusing coincident pairs
-    # if `pole` is singular) and one derivative pass for every kernel, the formula's arrays
-    # written into the `outs` views (`outs` None: a block of one tile returns them)
-    (rk, X, nx), (ck, Y, ny) = row, col
+def _blocks(op, kernels, pole, rows, col, outs):
+    # the blocks of the row groups `rows`, all on one point array X, against one column
+    # group, in row tiles of at most TILE elements: each tile is one geometry (refusing
+    # coincident pairs if `pole` is singular, under rows[0]'s label) and one derivative
+    # pass for every kernel at the highest order any of the blocks reads, of which each
+    # block's formula reads its own order's slice and writes into that block's `outs`
+    # views, one per kernel (`outs` None: one block of one tile returns its arrays)
+    X, (ck, Y, ny) = rows[0][1], col
     if not (len(X) and len(Y)):
         return
-    formula, order = _FORMULAS[rk, ck]
-    if order > 2:
-        for kernel in kernels:
-            _require_fourth_order(kernel, order)
-    # BLAS rounds a row slice of nx @ ny.T, and a one-row slice of nx @ v, unlike the
-    # whole product, so the block's product of its row normals is taken once and sliced
-    nn = None
-    if rk == ck == "normal":
-        nn = nx @ ny.T
-    elif (rk, ck) == ("normal", "adjoint"):
-        nn = (nx @ op.velocity_vec)[:, None]
     # the formulas project x - y on normals and on a convection velocity only
-    planes = "normal" in (rk, ck) or (op is not None and op.kind == "convection_diffusion_2d")
-    step, what = max(1, TILE // len(Y)), f"{rk} rows x {ck} columns"
+    planes = ck == "normal" or (op is not None and op.kind == "convection_diffusion_2d")
+    blocks, top, values = [], 0, False
+    for rk, _, nx in rows:
+        formula, order = _FORMULAS[rk, ck]
+        if order > 2:
+            for kernel in kernels:
+                _require_fourth_order(kernel, order)
+        # BLAS rounds a row slice of nx @ ny.T, and a one-row slice of nx @ v, unlike the
+        # whole product, so each block's product of its row normals is taken once and sliced
+        nn = None
+        if rk == ck == "normal":
+            nn = nx @ ny.T
+        elif (rk, ck) == ("normal", "adjoint"):
+            nn = (nx @ op.velocity_vec)[:, None]
+        blocks.append((formula, order, nx, nn, f"{rk} rows x {ck} columns"))
+        top, values, planes = max(top, order), values or not order, planes or rk == "normal"
+    # kernel values are no limits: beside a block that reads derivatives, a pair nearer
+    # than COINCIDENT_TOL but not at r = 0 keeps its own phi(r), as in a block of its own
+    values = values and top > 0
+    step = max(1, TILE // len(Y))
 
     def tile(rows):
-        g = _Pairs(pole, X[rows], Y, what, nn if nn is None else nn[rows], planes)
-        if order and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
-            for kernel in kernels:
-                if defect := _origin_defect(kernel, order):
-                    raise KernelSmoothnessError(f"{what} at coincident points: {defect}")
+        g = _Pairs(pole, X[rows], Y, blocks[0][4], planes)
+        near = None
+        if top and g.z.any():  # coincident pairs read the kernels' exact r = 0 limits
+            for _, order, _, _, what in blocks:
+                for kernel in kernels if order else ():
+                    if defect := _origin_defect(kernel, order):
+                        raise KernelSmoothnessError(f"{what} at coincident points: {defect}")
+            if values:
+                near = g.r[g.z]
             np.copyto(g.r, 0.0, where=g.z)
-        fs = derivs_upto_many(kernels, g.r, order)
-        tx = nx if nx is None else nx[rows]
+        fs = derivs_upto_many(kernels, g.r, top)
         if outs is None:
-            return [formula(op, g, f, tx, ny) for f in fs]
-        for out, f in zip(outs, fs):
-            out[rows] = formula(op, g, f, tx, ny)
+            formula, _, nx, nn, _ = blocks[0]
+            return [formula(op, g, f, nx, ny, nn) for f in fs]
+        for (formula, order, nx, nn, _), views in zip(blocks, outs):
+            tx = nx if nx is None else nx[rows]
+            tn = nn if nn is None else nn[rows]
+            for view, f in zip(views, fs):
+                view[rows] = formula(op, g, f[: order + 1], tx, ny, tn)
+            if not order and near is not None and near.any():
+                for view, (phi,) in zip(views, derivs_upto_many(kernels, near, 0)):
+                    view[rows][g.z] = phi
 
     if outs is None:
         return tile(slice(None))
     # a pole is refused in the first tile that holds it, so the caller builds a singular
-    # kernel's block alone, tile by tile in order, and so a block of under two tiles per
+    # kernel's blocks alone, tile by tile in order, and so blocks of under two tiles per
     # thread; the others are shared round-robin by k threads taking tiles of 2 TILE / k
     # elements, two serial tiles' memory in flight whatever CORES is
     k = min(CORES, -(-len(X) // step) // 2, MAX_THREADS)
@@ -511,20 +536,30 @@ def collocation_matrix(op: OperatorSpec | None, kernel: RadialKernel, rows, cols
 
 def collocation_matrices(op: OperatorSpec | None, kernels, rows, cols) -> list:
     """`[collocation_matrix(op, kernel, rows, cols) for kernel in kernels]`, bit
-    for bit, from one pairwise geometry and one derivative pass per block tile,
-    each block written straight into its place in the stacked matrices."""
+    for bit, each block written straight into its place in the stacked matrices.
+
+    Along the kernel axis, each block tile is one pairwise geometry and one
+    derivative pass for every kernel. Along the functional axis, the row groups
+    on one point array (the same array object, wherever they stand in `rows`)
+    share those too: against each column group they take one tile loop, each
+    tile at the highest derivative order any of their blocks reads.
+    """
     rows = [_group(g, ROW_KINDS) for g in rows]
     cols = [_group(g, COLUMN_KINDS) for g in cols]
     pole = next((kern for kern in kernels if kern.singular_at_origin), kernels[0])
     r0 = list(accumulate((len(X) for _, X, _ in rows), initial=0))
     c0 = list(accumulate((len(Y) for _, Y, _ in cols), initial=0))
     if len(rows) == len(cols) == 1 and 0 < r0[-1] * c0[-1] <= TILE:
-        return _block(op, kernels, pole, rows[0], cols[0], None)  # no copy into fresh pages
+        return _blocks(op, kernels, pole, rows, cols[0], None)  # no copy into fresh pages
     outs = [np.empty((r0[-1], c0[-1])) for _ in kernels]
-    for i, row in enumerate(rows):
+    shared = {}  # point array -> the indices of its row groups, in order of first appearance
+    for i, (_, X, _) in enumerate(rows):
+        shared.setdefault(id(X), []).append(i)
+    for members in shared.values():
+        group = [rows[i] for i in members]
         for j, col in enumerate(cols):
-            views = [out[r0[i] : r0[i + 1], c0[j] : c0[j + 1]] for out in outs]
-            _block(op, kernels, pole, row, col, views)
+            views = [[out[r0[i] : r0[i + 1], c0[j] : c0[j + 1]] for out in outs] for i in members]
+            _blocks(op, kernels, pole, group, col, views)
     return outs
 
 
@@ -553,13 +588,27 @@ class Expansion:
         consecutive terms on one `op` and one `columns` object share one pass.
         Terms whose coefficients are all zero add nothing and are skipped (one
         is kept when all are, for the shape of the result)."""
+        return self.trace_sets([rows])[0]
+
+    def trace_sets(self, row_sets) -> list:
+        """`[self.traces(rows) for rows in row_sets]`, bit for bit, each run of
+        terms in one collocation pass over the row groups of every set, so that
+        groups on one point array share its tiles. Each set's traces are their
+        own product with a row slice: BLAS rounds a product of stacked rows
+        unlike the products of its parts."""
         terms = [t for t in self.terms if np.any(t.coefficients)] or self.terms[:1]
-        total = 0
+        rows = [g for groups in row_sets for g in groups]
+        sizes = (sum(len(np.atleast_2d(g[1])) for g in groups) for groups in row_sets[:-1])
+        ends = [0, *accumulate(sizes), None]
+        totals = [0] * len(row_sets)
         for _, run in groupby(terms, key=lambda t: (t.op, id(t.columns))):
             run = list(run)
             mats = collocation_matrices(run[0].op, [t.kernel for t in run], rows, run[0].columns)
-            total = sum((a @ t.coefficients for a, t in zip(mats, run)), total)
-        return total
+            totals = [
+                sum((a[lo:hi] @ t.coefficients for a, t in zip(mats, run)), total)
+                for lo, hi, total in zip(ends, ends[1:], totals)
+            ]
+        return totals
 
     def evaluate(self, points) -> np.ndarray:
         return self.traces([("value", points)])
@@ -620,11 +669,14 @@ _RESIDUAL_POINTS = np.array(
 )
 
 
+@lru_cache(maxsize=256)
 def homogeneous_residual(op: OperatorSpec, kernel: RadialKernel) -> float:
     """Max |L{phi}| over the sample points, each normalized by max(1, |phi|).
 
     phi is the kernel centred at the origin and L the full operator, its
     convection term included; a homogeneous solution of L leaves roundoff.
+    Cached per operator and kernel, both frozen values: a kernel's equality
+    covers its generator, so no kernel reads another's residual.
     """
     rows = [("op", _RESIDUAL_POINTS), ("value", _RESIDUAL_POINTS)]
     image, phi = collocation_matrix(op, kernel, rows, [("value", np.zeros((1, 2)))]).reshape(2, -1)

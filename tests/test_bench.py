@@ -693,15 +693,15 @@ def test_default_suite_twice_in_one_process_is_byte_identical(tmp_path):
 
 
 def test_bounded_kernel_memos_stay_sound_under_eviction(monkeypatch, tmp_path):
-    # every memo that builds kernels, and the coincident-point check keyed by them, holds
-    # one entry, so each build evicts the last: a kernel held past its eviction is unequal
-    # to its rebuilt twin, and is checked and evaluated on its own
+    # every memo that builds kernels, and the coincident-point and general-solution checks
+    # keyed by them, holds one entry, so each build evicts the last: a kernel held past its
+    # eviction is unequal to its rebuilt twin, and is checked and evaluated on its own
     from functools import lru_cache
 
-    from rbfbench import kernels, operators
+    from rbfbench import bkm, kernels, operators
     from rbfbench.errors import KernelSmoothnessError
 
-    memos = [(operators, "_origin_defect")] + [
+    memos = [(operators, "_origin_defect"), (bkm, "homogeneous_residual")] + [
         (kernels, name)
         for name in ("_catalog_kernel", "_substituted", "_augmented")
         + ("_helmholtz_chain_kernel", "_laplace_chain_kernel")

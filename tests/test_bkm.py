@@ -9,9 +9,11 @@ import pytest
 from rbfbench import bkm, bpm, lsq, mkm
 from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
 from rbfbench.errors import ConditioningError, InvalidKernelError
+from rbfbench.linalg import factor
 from rbfbench.geometry import DomainSpec, NodeSet, generate_nodes, partition_boundary
-from rbfbench.kernels import build_kernel, higher_order_solution
+from rbfbench.kernels import RadialKernel, build_kernel, higher_order_solution
 from rbfbench.operators import (
+    collocation_matrix,
     convection_diffusion,
     helmholtz,
     homogeneous_residual,
@@ -127,6 +129,38 @@ def test_convection_term_counts_in_homogeneous_residual(velocity):
     assert homogeneous_residual(op, kern) > bkm.GENERAL_SOLUTION_TOL
     with pytest.raises(InvalidKernelError):
         bkm.assemble_symmetric_system(mixed_nodes(), op, kern)
+
+
+def test_homogeneous_residual_is_cached_per_operator_and_kernel():
+    # two hand-built kernels that differ only in their generators get their own verdicts,
+    # whichever is asked first, and a non-solution is refused on every call
+    from rbfbench import operators
+
+    solution, other = (RadialKernel("custom", False, gen) for gen in (U_SHARP.radial, _mq))
+    assert solution != other
+    before = operators.homogeneous_residual.cache_info()
+    for kern in (other, solution, other, solution):
+        res = homogeneous_residual(OP, kern)
+        assert (res <= 1e-12) if kern is solution else (res > bkm.GENERAL_SOLUTION_TOL)
+    after = operators.homogeneous_residual.cache_info()
+    assert after.hits - before.hits == 2 and after.misses - before.misses == 2
+    nodes = mixed_nodes()
+    bc = sample_bc(nodes, get_problem("helmholtz_disk"))
+    for _ in range(2):
+        with pytest.raises(InvalidKernelError, match="custom is not a homogeneous solution"):
+            bkm.assemble_symmetric_system(nodes, OP, other)
+        with pytest.raises(InvalidKernelError, match="custom is not a homogeneous solution"):
+            bkm.solve_direct(nodes, OP, bc, None, None, other)
+    assert np.array_equal(
+        bkm.assemble_symmetric_system(nodes, OP, solution),
+        bkm.assemble_symmetric_system(nodes, OP, U_SHARP),
+    )
+
+
+def _mq(r):
+    yield np.sqrt(r * r + 1.0)
+    yield r / np.sqrt(r * r + 1.0)
+    yield (r * r + 1.0) ** -1.5
 
 
 @pytest.mark.parametrize(
@@ -390,3 +424,102 @@ def test_boundary_trace_pairs_have_one_sampler():
             defs = re.findall(r"^\s*def (\w+)", text[: match.start()], re.M)
             stacks.append((path.name, defs[-1] if defs else None))
     assert stacks == [("bkm.py", "stacked")], stacks
+
+
+# ---------------------------------------------------------------------------
+# the direct solve in one pass
+# ---------------------------------------------------------------------------
+
+
+def _two_call_direct(nodes, op, bc, f_samples, phi, u_sharp):
+    # Q, B and the recovered traces as two collocation calls build them: Q over the
+    # boundary groups, then B over the swapped rows on point arrays of their own, and the
+    # particular traces of each in a call of their own
+    groups = bkm.boundary_groups(nodes)
+    rows = [
+        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
+        ("value", nodes.neumann_points),
+    ]
+    Q = collocation_matrix(None, u_sharp, groups, groups)
+    B = collocation_matrix(None, u_sharp, rows, groups)
+    rhs = bc.stacked(nodes)
+    if f_samples is not None:
+        particular = bkm.fit_particular(nodes, f_samples, op, phi)
+        rhs -= particular.traces(groups)
+    lu = factor(Q, "boundary knot")
+    traces = B @ lu.solve(rhs)
+    if f_samples is not None:
+        traces += particular.traces(rows)
+    return Q, B, traces, lu.cond_est
+
+
+@pytest.mark.parametrize("tiles", ["one", "shared"])
+@pytest.mark.parametrize("source", ["particular", "none"])
+@pytest.mark.parametrize("name", ["helmholtz_disk", "helmholtz_disk_inhom"])
+def test_direct_solve_in_one_pass_matches_two_calls(monkeypatch, name, source, tiles):
+    # Q and B from one assemble_Q pass, and the recovered traces, are bit for bit the
+    # two-call construction, on the mixed-BC and the Dirichlet disk, with and without a
+    # particular field; "shared": tiles of 5 rows, two threads sharing each block
+    from rbfbench import operators
+
+    p = get_problem(name)
+    nodes = partition_boundary(generate_nodes(DISK, 48, 30, seed=7), p.bc_rule)
+    bc, op, u_sharp = sample_bc(nodes, p), p.operator, higher_order_solution(p.operator, 0)
+    pts = nodes.all_points()
+    fs = np.cos(pts[:, 0]) + pts[:, 1] if source == "particular" else None
+    phi = build_kernel("mq", c=0.9)
+    if tiles == "shared":
+        monkeypatch.setattr(operators, "TILE", 5 * 48)
+        monkeypatch.setattr(operators, "CORES", 2)
+    Q, B, traces, cond = _two_call_direct(nodes, op, bc, fs, phi, u_sharp)
+    lu, (B_one,) = bkm.assemble_Q(nodes, op, u_sharp, swapped=True)
+    assert np.array_equal(lu.matrix, Q) and np.array_equal(B_one, B)
+    assert not np.shares_memory(lu.matrix, B_one)
+    rec = bkm.solve_direct(nodes, op, bc, fs, phi, u_sharp)
+    recovered = np.concatenate([rec.neumann_at_dirichlet, rec.dirichlet_at_neumann])
+    assert np.array_equal(recovered, traces)
+    # LAPACK's condition estimate may move in its last digits with the matrix's address
+    assert rec.cond_est == pytest.approx(cond, rel=1e-12)
+
+
+def test_bkm_direct_row_builds_one_geometry_and_one_table_per_point_set_pair(monkeypatch):
+    # the mixed-BC disk: Q and the swapped trace matrix B share each tile of a node class,
+    # one geometry and one J0 pass for both (2 node classes x 2 column groups); the kernel
+    # check, cached per operator and kernel, adds at most one for its op and value rows
+    from rbfbench import kernels, operators
+    from rbfbench.bench import run_benchmark
+
+    counts = {"pairs": 0, "j0": 0}
+    j0_per_tile = []
+    pairs_init, j0 = operators._Pairs.__init__, kernels.special.j0
+    derivs = operators.derivs_upto_many
+
+    def counting_init(self, *args):
+        counts["pairs"] += 1
+        pairs_init(self, *args)
+
+    def counting_j0(x):
+        counts["j0"] += 1
+        return j0(x)
+
+    def tile_derivs(kerns, r, n):
+        before = counts["j0"]
+        out = derivs(kerns, r, n)
+        j0_per_tile.append(counts["j0"] - before)
+        return out
+
+    monkeypatch.setattr(operators._Pairs, "__init__", counting_init)
+    monkeypatch.setattr(kernels.special, "j0", counting_j0)
+    monkeypatch.setattr(operators, "derivs_upto_many", tile_derivs)
+    monkeypatch.setattr(operators, "CORES", 1)  # one tile at a time, for the per-tile count
+    config = {
+        "problems": ["helmholtz_disk"],
+        "methods": ["bkm_direct"],
+        "n_boundary": 32,
+        "n_interior": 0,
+    }
+    report = run_benchmark(config)
+    assert report.errors == [] and len(report.rows) == 1
+    # Q with B 4, the kernel check 1 (none once cached); two separate calls built 10
+    assert counts["pairs"] <= 5
+    assert len(j0_per_tile) == counts["pairs"] and set(j0_per_tile) == {1}

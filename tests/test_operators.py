@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -645,9 +646,10 @@ def _count_tiles(monkeypatch):
 
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
 def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
-    # TILE = 17 elements is 2 rows of 7 columns: each of the 9 blocks takes 12
-    # tiles, the last one row, and the coincident pair falls in tile 10 only;
-    # each tile makes one derivative pass, at its pair radii, and the
+    # TILE = 17 elements is 2 rows of 7 columns: the three row groups share X,
+    # so each of the 3 column groups takes one loop of 12 tiles for all three
+    # blocks, the last tile one row, and the coincident pair falls in tile 10
+    # only; each tile makes one derivative pass, at its pair radii, and the
     # coincident tile reads its limits from it (no scalar pass at r = 0); on
     # one core the tiles are built in order
     from rbfbench import operators
@@ -667,7 +669,7 @@ def test_uneven_row_tiles_build_the_one_tile_matrix(monkeypatch, op):
 
     monkeypatch.setattr(operators, "derivs_upto_many", counting)
     tiled = collocation_matrix(op, kern, rows, cols)
-    assert tiles == ([2] * 11 + [1]) * 9
+    assert tiles == ([2] * 11 + [1]) * 3
     assert passes == [(t, 7) for t in tiles]
     assert np.array_equal(tiled, whole)
     for i, row in enumerate(rows):
@@ -702,6 +704,87 @@ def test_pole_in_a_later_tile_is_refused(monkeypatch):
     with pytest.raises(SingularityError, match="pole"):
         collocation_matrix(laplace(), build_kernel("laplace_fs_2d"), rows[:1], cols[:1])
     assert tiles == [2] * 10
+
+
+def _interleaved_groups():
+    # `_tiled_groups` with a second point array between the rows of X, so that the groups
+    # sharing X stand apart in the list
+    rows, cols = _tiled_groups()
+    Z = np.random.default_rng(12).uniform(-1, 1, (5, 2))
+    return [rows[0], ("value", Z), rows[1], ("op", Z), rows[2]], cols
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.kind)
+def test_row_groups_on_one_point_array_build_their_one_group_blocks(monkeypatch, op, cores):
+    # TILE = 17: the value, normal and op rows on X share each of the 12 tiles of a column
+    # group, the coincident pair falling in tile 10, and every block is bit for bit its
+    # one-group build, on one core and shared by two threads, for one kernel and (without
+    # the third and fourth derivatives it lacks) for a chain
+    from rbfbench import operators
+    from rbfbench.operators import collocation_matrices
+
+    all_rows, all_cols = _interleaved_groups()
+    monkeypatch.setattr(operators, "TILE", 17)
+    monkeypatch.setattr(operators, "CORES", cores)
+    tiles = _count_tiles(monkeypatch)
+    for kernels, rows, cols in (
+        ([build_kernel("mq", c=0.9)], all_rows, all_cols),
+        (CHAIN, [g for g in all_rows if g[0] != "op"], all_cols[:2]),
+    ):
+        tiles.clear()
+        shared = collocation_matrices(op, kernels, rows, cols)
+        # per column group, 12 tiles on X (2 rows of 7 columns each, on one core or two,
+        # the threads' tiles interleaved) and 3 on Z (2, 2 and 1 rows)
+        assert sorted(tiles) == sorted(len(cols) * ([2] * 11 + [1] + [2, 2, 1]))
+        r0 = list(accumulate((len(g[1]) for g in rows), initial=0))
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                alone = collocation_matrices(op, kernels, [row], [col])
+                for a, b in zip(shared, alone):
+                    block = a[r0[i] : r0[i + 1], 7 * j : 7 * (j + 1)]
+                    assert np.array_equal(block, b), (row[0], col[0])
+
+
+def test_shared_tiles_keep_kernel_values_at_near_coincident_pairs():
+    # a pair 1e-10 apart is coincident to the formulas that read derivatives, which take
+    # their r = 0 limits, but a value row beside them keeps phi(r), as built alone
+    X = np.array([[0.3, 0.2], [0.5, -0.1], [-0.4, 0.6]])
+    Y = np.array([[0.3 + 1e-10, 0.2], [0.0, 0.0]])
+    kern, op = quadratic_kernel(), laplace()
+    rows = [("value", X), ("op", X)]
+    shared = collocation_matrix(op, kern, rows, [("value", Y)])
+    assert shared[0, 0] == collocation_matrix(op, kern, rows[:1], [("value", Y)])[0, 0] > 0
+    assert np.array_equal(shared[:3], collocation_matrix(op, kern, rows[:1], [("value", Y)]))
+    assert np.array_equal(shared[3:], collocation_matrix(op, kern, rows[1:], [("value", Y)]))
+    assert shared[3, 0] == 4.0  # Lap r^2, from the r = 0 limit
+
+
+def test_pole_in_a_later_shared_tile_is_refused(monkeypatch):
+    # value and normal rows on X share their tiles; the pole is refused in the first
+    # tile that holds it, under the label of the first row group on X
+    from rbfbench import operators
+
+    rows, cols = _tiled_groups()
+    monkeypatch.setattr(operators, "TILE", 17)
+    monkeypatch.setattr(operators, "CORES", 2)
+    tiles = _count_tiles(monkeypatch)
+    with pytest.raises(SingularityError, match="value rows x value columns: coincident"):
+        collocation_matrix(laplace(), build_kernel("laplace_fs_2d"), rows[:2], cols[:1])
+    assert tiles == [2] * 10
+
+
+def test_shared_tiles_keep_each_block_label():
+    # a rough kernel is refused at coincident points under the label of the block whose
+    # formula reads its derivatives; a value block beside it reads none
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+    cone = build_kernel("mq", c=0)
+    cols = [("value", X)]
+    for rows in ([("op", X)], [("value", X), ("op", X)], [("value", X), ("normal", X, X)]):
+        label = f"{rows[-1][0]} rows x value columns at coincident points"
+        with pytest.raises(KernelSmoothnessError, match=label):
+            collocation_matrix(laplace(), cone, rows, cols)
+    assert np.array_equal(collocation_matrix(None, cone, [("value", X)], cols), [[0, 0.5], [0.5, 0]])
 
 
 CHAIN = [higher_order_solution(helmholtz(1.3), m) for m in range(4)]
