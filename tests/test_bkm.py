@@ -9,9 +9,9 @@ import pytest
 from rbfbench import bkm, bpm, lsq, mkm
 from rbfbench.bench import boundary_band_mask, compute_errors, probe_grid
 from rbfbench.errors import ConditioningError, InvalidKernelError
-from rbfbench.linalg import factor
 from rbfbench.geometry import DomainSpec, NodeSet, generate_nodes, partition_boundary
 from rbfbench.kernels import RadialKernel, build_kernel, higher_order_solution
+from rbfbench.linalg import factor
 from rbfbench.operators import (
     collocation_matrix,
     convection_diffusion,
