@@ -124,12 +124,14 @@ def assemble_symmetric_system(
     return _trace_matrices(op, [u_sharp], groups, groups)[0]
 
 
-def _swapped_groups(nodes: NodeSet, groups: list) -> list:
+def _swapped_groups(nodes: NodeSet) -> list:
     # the complementary traces, normal derivatives at Dirichlet nodes then values at
-    # Neumann nodes, on the point arrays of `groups` (`boundary_groups(nodes)`), so that a
-    # pass over both shares each tile of a node class
-    (_, xd), (_, xn, _) = groups
-    return [("normal", xd, nodes.dirichlet_normals), ("value", xn)]
+    # Neumann nodes; a node set hands out one array per part, so these rows stand on
+    # `boundary_groups(nodes)`' point arrays and a pass over both shares each tile
+    return [
+        ("normal", nodes.dirichlet_points, nodes.dirichlet_normals),
+        ("value", nodes.neumann_points),
+    ]
 
 
 def _trace_matrices(op: OperatorSpec, kernels, rows, cols) -> list:
@@ -165,7 +167,7 @@ def assemble_Q(
     each matrix keeps its own block formulas.
     """
     groups = boundary_groups(nodes)
-    rows = groups + _swapped_groups(nodes, groups) if swapped else groups
+    rows = groups + _swapped_groups(nodes) if swapped else groups
     mats = _trace_matrices(op, [u_sharp, *(tail or ())], rows, groups)
     if swapped:  # each matrix holds Q's rows over the swapped rows: split them as views
         n = len(mats[0]) // 2
@@ -192,7 +194,7 @@ def _solve(nodes, op, bc, f_samples, phi, u_sharp, swapped: bool):
         lu = assemble_Q(nodes, op, u_sharp)
     terms = []
     if particular is not None:
-        row_sets = [groups, _swapped_groups(nodes, groups)] if swapped else [groups]
+        row_sets = [groups, _swapped_groups(nodes)] if swapped else [groups]
         traces, *rest = particular.trace_sets(row_sets)
         rhs -= traces
         swapped_traces = rest[0] if swapped else None

@@ -4,15 +4,23 @@ Boundary points are equispaced in a normalized boundary parameter
 t in [0, 1); interior points come from a seeded scrambled Halton
 sequence rejected against a small safety margin from the boundary.
 Everything is reproducible bit-for-bit from (domain, counts, seed).
+
+The sampler is Owen's randomized Halton sequence (Owen 2017,
+arXiv:1706.02808; Halton 1960) in bases 2 and 3, owned by this module
+and bit-identical to scipy 1.17.1's
+``qmc.Halton(d=2, scramble=True, seed=seed)``. Node sets therefore no
+longer depend on the installed scipy's ``qmc``, and importing the
+package does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .errors import GeometryError, InvalidDomainError, PartitionError
 
@@ -63,7 +71,10 @@ class NodeSet:
     Boundary indices are split into a Dirichlet part and a Neumann part;
     the two lists are disjoint and together cover every boundary point.
     `boundary_params` keeps the parameter t of each boundary point so the
-    partition can be recomputed from interval rules.
+    partition can be recomputed from interval rules. The points and
+    normals of each part are computed once per node set and read-only, so
+    every read is the same array (row groups built from two reads share
+    their tiles in `collocation_matrices`).
     """
 
     domain: DomainSpec
@@ -96,21 +107,26 @@ class NodeSet:
         """Interior nodes followed by boundary nodes, shape (N+L, 2)."""
         return np.vstack([self.interior, self.boundary])
 
-    @property
+    @cached_property
     def dirichlet_points(self) -> np.ndarray:
-        return self.boundary[self.dirichlet_idx]
+        return _read_only(self.boundary[self.dirichlet_idx])
 
-    @property
+    @cached_property
     def neumann_points(self) -> np.ndarray:
-        return self.boundary[self.neumann_idx]
+        return _read_only(self.boundary[self.neumann_idx])
 
-    @property
+    @cached_property
     def dirichlet_normals(self) -> np.ndarray:
-        return self.normals[self.dirichlet_idx]
+        return _read_only(self.normals[self.dirichlet_idx])
 
-    @property
+    @cached_property
     def neumann_normals(self) -> np.ndarray:
-        return self.normals[self.neumann_idx]
+        return _read_only(self.normals[self.neumann_idx])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 #: outward normals of the rectangle's edges, in boundary-parameter order
@@ -167,8 +183,10 @@ def generate_nodes(
     Boundary points are equispaced in the boundary parameter. On
     rectangles the parameters are offset by half a spacing so corners
     (where the normal is undefined) are never collocation points.
-    Interior points are drawn from a scrambled Halton sequence with the
-    given seed and rejected within INTERIOR_MARGIN of the boundary.
+    Interior points are drawn from Owen's randomized Halton sequence with
+    the given seed (bit-identical to scipy 1.17.1's
+    ``qmc.Halton(d=2, scramble=True, seed=seed)``, but not read from the
+    installed scipy) and rejected within INTERIOR_MARGIN of the boundary.
     """
     if n_boundary < 4:
         raise PartitionError(f"need at least 4 boundary nodes, got {n_boundary}")
@@ -201,7 +219,7 @@ def generate_nodes(
 def _halton_interior(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty((0, 2))
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    sampler = _ScrambledHalton(seed)
     (xlo, xhi), (ylo, yhi) = domain.bounding_box
     accepted: list[np.ndarray] = []
     count = 0
@@ -215,6 +233,39 @@ def _halton_interior(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
         accepted.append(pts)
         count += len(pts)
     return np.vstack(accepted)[:n]
+
+
+class _ScrambledHalton:
+    """Owen's randomized Halton sequence in bases 2 and 3 (Owen 2017,
+    arXiv:1706.02808), bit for bit scipy 1.17.1's
+    ``qmc.Halton(d=2, scramble=True, seed=seed)``: `random(m)` returns the
+    next m points of [0, 1)^2, each call continuing the sequence."""
+
+    BASES = (2, 3)
+
+    def __init__(self, seed: int):
+        rng = np.random.default_rng(seed)
+        # base by base, one permutation of the digits per digit position k >= 1 with
+        # base**-k > 2**-54, the rows shuffled in turn (Owen 2017, Algorithm 1)
+        self._perms = [
+            rng.permuted(np.tile(np.arange(b), (math.ceil(54 / math.log2(b)) - 1, 1)), axis=1)
+            for b in self.BASES
+        ]
+        self._drawn = 0
+
+    def random(self, m: int) -> np.ndarray:
+        index = np.arange(self._drawn, self._drawn + m)
+        self._drawn += m
+        u = np.zeros((2, m))
+        for out, base, perms in zip(u, self.BASES, self._perms):
+            # digit j of each index, least significant first, adds perms[j][digit] *
+            # base**-(j+1); every row adds, past the last nonzero digit too, in this order
+            q, scale = index, 1.0 / base
+            for perm in perms:
+                q, digit = np.divmod(q, base)
+                out += perm[digit] * scale
+                scale /= base
+        return u.T
 
 
 def outward_normal(domain: DomainSpec, point) -> np.ndarray:

@@ -433,7 +433,7 @@ def test_boundary_trace_pairs_have_one_sampler():
 
 def _two_call_direct(nodes, op, bc, f_samples, phi, u_sharp):
     # Q, B and the recovered traces as two collocation calls build them: Q over the
-    # boundary groups, then B over the swapped rows on point arrays of their own, and the
+    # boundary groups, then B over the swapped rows in a call of its own, and the
     # particular traces of each in a call of their own
     groups = bkm.boundary_groups(nodes)
     rows = [

@@ -205,3 +205,70 @@ def test_mean_nn_spacing_on_grid():
 def test_mean_nn_spacing_needs_two_points():
     with pytest.raises(ValueError, match="at least two points"):
         mean_nearest_neighbor_spacing(np.array([[0.5, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the package's scrambled Halton sampler against scipy's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 8, 12345, 2**31 - 1])
+def test_sampler_is_scipys_scrambled_halton_bit_for_bit(seed):
+    # the nodes' interior sampler owns Owen's randomized Halton sequence; each draw of
+    # one generator continues the sequence, as scipy's does
+    from scipy.stats import qmc
+
+    from rbfbench.geometry import _ScrambledHalton
+
+    ours, scipys = _ScrambledHalton(seed), qmc.Halton(d=2, scramble=True, seed=seed)
+    for m in (7, 32, 120, 2048):
+        assert np.array_equal(ours.random(m), scipys.random(m)), m
+
+
+@pytest.mark.parametrize(
+    "domain, n_interior, seed",
+    [(DISK, 60, 7), (DISK, 1024, 8), (DomainSpec("rectangle", 1, 1), 60, 7),
+     (DomainSpec("rectangle", 2.0, 0.5), 1024, 12345)],
+)
+def test_node_sets_match_a_build_through_scipys_sampler(monkeypatch, domain, n_interior, seed):
+    from scipy.stats import qmc
+
+    from rbfbench import geometry
+
+    ours = generate_nodes(domain, 32, n_interior, seed)
+    monkeypatch.setattr(
+        geometry, "_ScrambledHalton", lambda s: qmc.Halton(d=2, scramble=True, seed=s)
+    )
+    theirs = generate_nodes(domain, 32, n_interior, seed)
+    assert np.array_equal(ours.interior, theirs.interior)
+
+
+# ---------------------------------------------------------------------------
+# the points and normals of each boundary part
+# ---------------------------------------------------------------------------
+
+PARTS = ("dirichlet_points", "neumann_points", "dirichlet_normals", "neumann_normals")
+
+
+def test_boundary_parts_are_one_read_only_array_each():
+    nodes = partition_boundary(generate_nodes(DISK, 16, 0, seed=0), [(0.0, 0.5)])
+    for name in PARTS:
+        array = getattr(nodes, name)
+        assert getattr(nodes, name) is array
+        assert len(array) == 8
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert nodes.boundary.flags.writeable  # the node arrays themselves stay writable
+
+
+def test_a_new_partition_does_not_keep_the_old_parts():
+    nodes = generate_nodes(DISK, 16, 0, seed=0)
+    before = {name: getattr(nodes, name) for name in PARTS}
+    split = partition_boundary(nodes, [(0.0, 0.25)])
+    idx = {"dirichlet": split.dirichlet_idx, "neumann": split.neumann_idx}
+    for name in PARTS:
+        part, field = name.split("_")
+        source = nodes.boundary if field == "points" else nodes.normals
+        assert np.array_equal(getattr(split, name), source[idx[part]])
+        assert getattr(split, name) is not before[name]
+    assert len(split.dirichlet_points) == 4 and len(nodes.dirichlet_points) == 16
